@@ -30,6 +30,7 @@ from .registry import (ManufacturedProblem, lookup, manufactured_linear,
                        manufactured_sine, manufactured_steady)
 from .solver import (AuditReport, CheckPolicy, DiscreteSolution,
                      EnvelopeReport, layer_envelope_diagnostic, march,
-                     residual_max_norm, stability_audit, thomas_solve)
+                     ThomasFactors, residual_max_norm, stability_audit,
+                     thomas_factor, thomas_solve)
 
 __version__ = "0.1.0"

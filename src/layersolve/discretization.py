@@ -16,6 +16,11 @@ For c == 1 this is exactly cbar = b + 2/dt, dbar = b - 2/dt.  Rows are stored
 negated (positive diagonal, non-positive off-diagonals) so the M-matrix
 structure can be read directly off the arrays.  Row N/2 carries the
 transmission condition D+ U = D- U instead of the PDE.
+
+A step is assembled in three parts: sample a, b, c at t_mid
+(:func:`sample_coefficients`), build the matrix A from those samples
+(:func:`build_operator`), and form the right side from A itself
+(:func:`step_rhs`).  A march whose samples repeat reuses the matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ __all__ = [
     "MMatrixReport",
     "interior_row",
     "discontinuity_row",
+    "StepOperator",
+    "sample_coefficients",
+    "build_operator",
+    "step_rhs",
     "assemble",
     "m_matrix_check",
 ]
@@ -46,6 +55,14 @@ class StencilWeights:
     w_center: float
     w_plus: float
     forcing: float
+
+
+def _tridiagonal_apply(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    y = diag * x
+    y[1:] += sub[1:] * x[:-1]
+    y[:-1] += sup[:-1] * x[1:]
+    return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +92,7 @@ class TridiagonalSystem:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product of the stored tridiagonal matrix with x."""
-        y = self.diag * x
-        y[1:] += self.sub[1:] * x[:-1]
-        y[:-1] += self.sup[:-1] * x[1:]
-        return y
+        return _tridiagonal_apply(self.sub, self.diag, self.sup, x)
 
     def dump_rows(self) -> str:
         """Debug dump: one row per line as ``i sub diag sup rhs``."""
@@ -151,6 +165,117 @@ def discontinuity_row(mesh: SpatialMesh) -> StencilWeights:
     return StencilWeights(-1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp, 0.0)
 
 
+def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh,
+                        t_mid: float) -> tuple[np.ndarray, ...]:
+    """a, b and c at (x_i, t_mid) on the PDE rows: six arrays.
+
+    The first three cover rows 1..N/2-1 (with a's left branch), the last
+    three rows N/2+1..N-1 (right branch).  Together with the mesh, dt, eps
+    and mu they determine the step's matrix, so bitwise-equal samples give
+    a bitwise-equal :func:`build_operator`.
+    """
+    n = mesh.n
+    mid = n // 2
+    out = []
+    for a_fn, idx in ((spec.a.left, np.arange(1, mid)),
+                      (spec.a.right, np.arange(mid + 1, n))):
+        xi = mesh.points[idx]
+        for fn in (a_fn, spec.b, spec.c):
+            out.append(np.broadcast_to(np.asarray(fn(xi, t_mid), dtype=float),
+                                       xi.shape))
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class StepOperator:
+    """The matrix of one Crank-Nicolson step, without a right-hand side.
+
+    ``sub``, ``diag`` and ``sup`` are stored as in :class:`TridiagonalSystem`;
+    ``c4dt`` is 4c/dt on the PDE rows and 0 on rows 0, N/2 and N.
+    """
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+    c4dt: np.ndarray
+
+    def system(self, rhs: np.ndarray) -> TridiagonalSystem:
+        return TridiagonalSystem(sub=self.sub, diag=self.diag, sup=self.sup,
+                                 rhs=rhs)
+
+
+def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
+                   samples: tuple[np.ndarray, ...]) -> StepOperator:
+    """The step matrix from :func:`sample_coefficients` output.
+
+    Rows 0 and N are identity rows, row N/2 is the transmission row and
+    every other row is the negated interior stencil of :func:`interior_row`.
+    """
+    n = mesh.n
+    h = mesh.h
+    eps = spec.params.epsilon
+    mu = spec.params.mu
+    mid = n // 2
+
+    sub = np.zeros(n + 1)
+    diag = np.zeros(n + 1)
+    sup = np.zeros(n + 1)
+    c4dt = np.zeros(n + 1)
+    diag[0] = 1.0
+    diag[n] = 1.0
+
+    for left_side, idx, (a_v, b_v, c_v) in (
+            (True, np.arange(1, mid), samples[:3]),
+            (False, np.arange(mid + 1, n), samples[3:])):
+        hi = h[idx]
+        hi1 = h[idx + 1]
+        hbar2 = hi + hi1
+        cbar = b_v + 2.0 * c_v / dt
+
+        w_minus = 2.0 * eps / (hi * hbar2)
+        w_plus = 2.0 * eps / (hi1 * hbar2)
+        w_center = -2.0 * eps / (hi * hi1) - cbar
+        if left_side:
+            # upwind D- on the left of the discontinuity (a < 0 there)
+            w_minus = w_minus - mu * a_v / hi
+            w_center = w_center + mu * a_v / hi
+        else:
+            w_plus = w_plus + mu * a_v / hi1
+            w_center = w_center - mu * a_v / hi1
+
+        sub[idx] = -w_minus
+        diag[idx] = -w_center
+        sup[idx] = -w_plus
+        c4dt[idx] = 4.0 * c_v / dt
+
+    row = discontinuity_row(mesh)
+    sub[mid] = row.w_minus
+    diag[mid] = row.w_center
+    sup[mid] = row.w_plus
+    return StepOperator(sub=sub, diag=diag, sup=sup, c4dt=c4dt)
+
+
+def step_rhs(spec: ProblemSpec, mesh: SpatialMesh, op: StepOperator,
+             t_next: float, dt: float, u_prev: np.ndarray) -> np.ndarray:
+    """Right-hand side of the step advancing ``u_prev`` to t_next.
+
+    On PDE rows the stored (negated) gtilde equals -2f + (4c/dt) U - A U,
+    since A's diagonal holds cbar = dbar + 4c/dt; rows 0 and N carry p and r
+    at t_next, row N/2 zero.
+    """
+    n = mesh.n
+    mid = n // 2
+    t_mid = t_next - 0.5 * dt
+    rhs = op.c4dt * u_prev - _tridiagonal_apply(op.sub, op.diag, op.sup, u_prev)
+    for f_fn, idx in ((spec.f.left, np.arange(1, mid)),
+                      (spec.f.right, np.arange(mid + 1, n))):
+        rhs[idx] -= 2.0 * np.asarray(f_fn(mesh.points[idx], t_mid), dtype=float)
+    rhs[0] = float(spec.p(t_next))
+    rhs[n] = float(spec.r(t_next))
+    rhs[mid] = 0.0
+    return rhs
+
+
 def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
              u_prev: np.ndarray) -> TridiagonalSystem:
     """Assemble the full system for the step advancing to t_next.
@@ -162,71 +287,9 @@ def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
     n = mesh.n
     if u_prev.shape != (n + 1,):
         raise ValueError(f"u_prev must have {n + 1} entries, got {u_prev.shape}")
-    x = mesh.points
-    h = mesh.h
-    t_mid = t_next - 0.5 * dt
-    eps = spec.params.epsilon
-    mu = spec.params.mu
-    mid = n // 2
-
-    sub = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    sup = np.zeros(n + 1)
-    rhs = np.zeros(n + 1)
-
-    diag[0] = 1.0
-    rhs[0] = float(spec.p(t_next))
-    diag[n] = 1.0
-    rhs[n] = float(spec.r(t_next))
-
-    for left_side in (True, False):
-        if left_side:
-            idx = np.arange(1, mid)
-            a_fn, f_fn = spec.a.left, spec.f.left
-        else:
-            idx = np.arange(mid + 1, n)
-            a_fn, f_fn = spec.a.right, spec.f.right
-        xi = x[idx]
-        hi = h[idx]
-        hi1 = h[idx + 1]
-        hbar2 = hi + hi1
-        a_v = np.asarray(a_fn(xi, t_mid), dtype=float)
-        b_v = np.asarray(spec.b(xi, t_mid), dtype=float)
-        c_v = np.asarray(spec.c(xi, t_mid), dtype=float)
-        f_v = np.asarray(f_fn(xi, t_mid), dtype=float)
-        cbar = b_v + 2.0 * c_v / dt
-        dbar = b_v - 2.0 * c_v / dt
-
-        w_minus = 2.0 * eps / (hi * hbar2)
-        w_plus = 2.0 * eps / (hi1 * hbar2)
-        w_center = -2.0 * eps / (hi * hi1) - cbar
-
-        um = u_prev[idx - 1]
-        u0 = u_prev[idx]
-        up = u_prev[idx + 1]
-        d2u = 2.0 * ((up - u0) / hi1 - (u0 - um) / hi) / hbar2
-        if left_side:
-            w_minus = w_minus - mu * a_v / hi
-            w_center = w_center + mu * a_v / hi
-            du = (u0 - um) / hi
-        else:
-            w_plus = w_plus + mu * a_v / hi1
-            w_center = w_center - mu * a_v / hi1
-            du = (up - u0) / hi1
-        g = 2.0 * f_v - eps * d2u - mu * a_v * du + dbar * u0
-
-        sub[idx] = -w_minus
-        diag[idx] = -w_center
-        sup[idx] = -w_plus
-        rhs[idx] = -g
-
-    row = discontinuity_row(mesh)
-    sub[mid] = row.w_minus
-    diag[mid] = row.w_center
-    sup[mid] = row.w_plus
-    rhs[mid] = row.forcing
-
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    samples = sample_coefficients(spec, mesh, t_next - 0.5 * dt)
+    op = build_operator(spec, mesh, dt, samples)
+    return op.system(step_rhs(spec, mesh, op, t_next, dt, u_prev))
 
 
 @dataclass(frozen=True)

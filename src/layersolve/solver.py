@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import TridiagonalSystem, assemble, m_matrix_check
+from .discretization import (TridiagonalSystem, build_operator, m_matrix_check,
+                             sample_coefficients, step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import LayerParams, SpatialMesh, TimeGrid
@@ -26,6 +27,8 @@ __all__ = [
     "CheckPolicy",
     "DiscreteSolution",
     "thomas_solve",
+    "ThomasFactors",
+    "thomas_factor",
     "residual_max_norm",
     "march",
     "AuditReport",
@@ -85,30 +88,92 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     Raises ZeroPivot (with the row index) when an eliminated pivot has
     magnitude below PIVOT_FLOOR.  Boundary identity rows come back bit-exact.
     """
-    size = sys.size
-    if size < 3:
+    if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
     sub = sys.sub.tolist()
     diag = sys.diag.tolist()
     sup = sys.sup.tolist()
     rhs = sys.rhs.tolist()
-    c = [0.0] * size
-    x = [0.0] * size
 
     piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise ZeroPivot(0)
-    c[0] = sup[0] / piv
-    x[0] = rhs[0] / piv
-    for i in range(1, size):
-        piv = diag[i] - sub[i] * c[i - 1]
+    ci = sup[0] / piv
+    xi = rhs[0] / piv
+    c = [ci]
+    x = [xi]
+    for s, d, u, r in zip(sub[1:], diag[1:], sup[1:], rhs[1:]):
+        piv = d - s * ci
         if abs(piv) < PIVOT_FLOOR:
-            raise ZeroPivot(i)
-        c[i] = sup[i] / piv
-        x[i] = (rhs[i] - sub[i] * x[i - 1]) / piv
-    for i in range(size - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return np.asarray(x)
+            raise ZeroPivot(len(c))
+        ci = u / piv
+        xi = (r - s * xi) / piv
+        c.append(ci)
+        x.append(xi)
+    return _back_substitute(c, x)
+
+
+def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
+    xi = y[-1]
+    x = [xi]
+    for ci, yi in zip(c[-2::-1], y[-2::-1]):
+        xi = yi - ci * xi
+        x.append(xi)
+    x.reverse()
+    return np.array(x)
+
+
+@dataclass(frozen=True, eq=False)
+class ThomasFactors:
+    """The pivots and multipliers of one Thomas elimination.
+
+    ``solve`` repeats :func:`thomas_solve`'s forward and back sweeps for a
+    new right-hand side with the same operations in the same order, so its
+    result is bitwise equal to ``thomas_solve`` on the same system.
+    """
+
+    sub: list[float]
+    piv: list[float]
+    c: list[float]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        r = rhs.tolist()
+        if len(r) != len(self.piv):
+            raise ValueError(f"rhs must have {len(self.piv)} entries, got {len(r)}")
+        xi = r[0] / self.piv[0]
+        y = [xi]
+        for s, p, ri in zip(self.sub[1:], self.piv[1:], r[1:]):
+            xi = (ri - s * xi) / p
+            y.append(xi)
+        return _back_substitute(self.c, y)
+
+
+def thomas_factor(sys: TridiagonalSystem) -> ThomasFactors:
+    """Eliminate the matrix of ``sys`` once; its right-hand side is ignored.
+
+    Raises ZeroPivot (with the row index) exactly where :func:`thomas_solve`
+    would on the same matrix.
+    """
+    if sys.size < 3:
+        raise ValueError("system must have at least 3 rows")
+    sub = sys.sub.tolist()
+    diag = sys.diag.tolist()
+    sup = sys.sup.tolist()
+
+    p = diag[0]
+    if abs(p) < PIVOT_FLOOR:
+        raise ZeroPivot(0)
+    ci = sup[0] / p
+    piv = [p]
+    c = [ci]
+    for s, d, u in zip(sub[1:], diag[1:], sup[1:]):
+        p = d - s * ci
+        if abs(p) < PIVOT_FLOOR:
+            raise ZeroPivot(len(c))
+        ci = u / p
+        piv.append(p)
+        c.append(ci)
+    return ThomasFactors(sub=sub, piv=piv, c=c)
 
 
 def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
@@ -150,8 +215,12 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
 
     values[0] is q sampled on the mesh; each later level solves one
     Crank-Nicolson system.  Boundary entries are assigned from p and r, not
-    solved.  Audits run per the policy; the stability audit compares the
-    running max against data_sup + sup|f|/beta.
+    solved.  a, b and c are sampled once per step; while the samples stay
+    bitwise equal to the previous step's, the matrix, its M-matrix verdict
+    and (from the first repeat on) its Thomas factors are reused, which
+    gives bitwise the same values as solving every step afresh.  Audits run
+    per the policy; the stability audit compares the running max against
+    data_sup + sup|f|/beta.
     """
     n = mesh.n
     values = np.empty((grid.m + 1, n + 1))
@@ -164,17 +233,36 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
                  + STABILITY_SLACK)
     running_max = float(np.max(np.abs(values[0])))
 
+    key = op = factors = row_scale = None
     for j in range(grid.m):
         t_next = float(grid.times[j + 1])
-        sys = assemble(spec, mesh, t_next, grid.dt, values[j])
-        if checks.m_matrix:
+        samples = sample_coefficients(spec, mesh, t_next - 0.5 * grid.dt)
+        new_key = tuple(arr.tobytes() for arr in samples)
+        reused = new_key == key
+        if not reused:
+            key = new_key
+            op = build_operator(spec, mesh, grid.dt, samples)
+            factors = None
+            if checks.residual:
+                row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
+                                         + np.abs(op.sup)))
+        sys = op.system(step_rhs(spec, mesh, op, t_next, grid.dt, values[j]))
+        # an unchanged matrix has already had its verdict
+        if checks.m_matrix and not reused:
             report = m_matrix_check(sys)
             if not report.passed:
                 _fail(checks.strict, MMatrixViolation,
                       f"M-matrix check failed at step j={j} (N={n}, M={grid.m}): "
                       f"{report.violations[:3]}")
         try:
-            u = thomas_solve(sys)
+            if not reused:
+                u = thomas_solve(sys)
+            else:
+                # factored on the first repeat only, so a march whose matrix
+                # changes every step never stores pivots
+                if factors is None:
+                    factors = thomas_factor(sys)
+                u = factors.solve(sys.rhs)
         except ZeroPivot as exc:
             raise ZeroPivot(exc.row,
                             f"zero pivot at row {exc.row}, step j={j} "
@@ -185,8 +273,6 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             res = residual_max_norm(sys, u)
             # rhs-anchored tolerance, plus a matrix-scale term for degenerate
             # (eps ~ 1) instances whose matrix entries dwarf the rhs
-            row_scale = float(np.max(np.abs(sys.sub) + np.abs(sys.diag)
-                                     + np.abs(sys.sup)))
             tol = (RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(sys.rhs))))
                    + _MATRIX_RTOL * row_scale * (1.0 + float(np.max(np.abs(u)))))
             if res > tol:

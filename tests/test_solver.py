@@ -8,11 +8,11 @@ import pytest
 
 from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation,
                         NonFiniteValue, PerturbationParams, PiecewiseField,
-                        ProblemSpec, TridiagonalSystem, ZeroPivot,
+                        ProblemSpec, TridiagonalSystem, ZeroPivot, assemble,
                         derive_regime, layer_envelope_diagnostic, lookup,
                         manufactured_linear, march, residual_max_norm,
-                        spatial_mesh_for, stability_audit, thomas_solve,
-                        uniform_mesh, uniform_time_grid)
+                        spatial_mesh_for, stability_audit, thomas_factor,
+                        thomas_solve, uniform_mesh, uniform_time_grid)
 
 
 def random_dominant_system(rng, size):
@@ -48,6 +48,27 @@ def zero_data_spec(epsilon=1e-8, mu=1e-6):
         p=lambda t: 0.0, r=lambda t: 0.0, q=lambda x: 0.0 * x,
         d=0.5, t_final=1.0, params=PerturbationParams(epsilon, mu),
         alpha1=1.0, alpha2=1.0, beta=2.0, eta=1.0)
+
+
+def with_b(base, b):
+    return ProblemSpec(a=base.a, f=base.f, b=b, c=base.c, p=base.p, r=base.r,
+                       q=base.q, d=base.d, t_final=base.t_final,
+                       params=base.params, alpha1=base.alpha1,
+                       alpha2=base.alpha2, beta=base.beta, eta=base.eta)
+
+
+def per_step_stream(spec, mesh, grid):
+    """Assemble and solve every step afresh, as march did before reuse."""
+    n = mesh.n
+    values = np.empty((grid.m + 1, n + 1))
+    values[0] = np.broadcast_to(np.asarray(spec.q(mesh.points), float), (n + 1,))
+    for j in range(grid.m):
+        sys = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, values[j])
+        u = thomas_solve(sys)
+        u[0] = sys.rhs[0]
+        u[n] = sys.rhs[n]
+        values[j + 1] = u
+    return values
 
 
 class TestThomasSolve:
@@ -94,6 +115,32 @@ class TestThomasSolve:
                                 sup=np.zeros(2), rhs=np.ones(2))
         with pytest.raises(ValueError):
             thomas_solve(sys)
+        with pytest.raises(ValueError):
+            thomas_factor(sys)
+
+    def test_factor_solve_is_bitwise_thomas_solve(self):
+        rng = np.random.default_rng(5)
+        spec = lookup("example1", 1e-8, 1e-6)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
+        systems = [random_dominant_system(rng, int(rng.integers(3, 60)))
+                   for _ in range(10)]
+        systems.append(assemble(spec, mesh, 0.5, 1.0 / 64,
+                                np.sin(3.0 * mesh.points)))
+        for sys in systems:
+            assert (thomas_factor(sys).solve(sys.rhs).tobytes()
+                    == thomas_solve(sys).tobytes())
+
+    @pytest.mark.parametrize("diag,row", [([0.0, 2.0, 2.0], 0),
+                                          ([1.0, 1.0, 2.0], 1)])
+    def test_factor_raises_zero_pivot_where_solve_does(self, diag, row):
+        sys = TridiagonalSystem(sub=np.array([0.0, 1.0, 1.0]),
+                                diag=np.array(diag),
+                                sup=np.array([1.0, 1.0, 0.0]),
+                                rhs=np.ones(3))
+        for solve in (thomas_solve, thomas_factor):
+            with pytest.raises(ZeroPivot) as err:
+                solve(sys)
+            assert err.value.row == row
 
     def test_residual_within_tolerance_on_assembled_step(self):
         spec = lookup("example1", 1e-8, 1e-6)
@@ -259,6 +306,48 @@ class TestMarch:
         assert "N=32" in str(err.value)
         assert "M=4" in str(err.value)
         assert "j=0" in str(err.value)
+
+    def test_zero_pivot_at_factor_carries_step_context(self, monkeypatch):
+        import layersolve.solver as solver_mod
+
+        def exploding(sys):
+            raise ZeroPivot(3)
+
+        # step 0 solves afresh; step 1 repeats the matrix and factors it
+        monkeypatch.setattr(solver_mod, "thomas_factor", exploding)
+        spec = zero_data_spec()
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
+        with pytest.raises(ZeroPivot) as err:
+            solver_mod.march(spec, mesh, uniform_time_grid(1.0, 4),
+                             CheckPolicy())
+        assert err.value.row == 3
+        assert "N=32" in str(err.value)
+        assert "M=4" in str(err.value)
+        assert "j=1" in str(err.value)
+
+    @pytest.mark.parametrize("b,checks_run", [
+        (None, 1),
+        (lambda x, t: (1.0 + np.exp(x)) * (1.0 if t < 0.5 else 1.5), 2),
+        (lambda x, t: (1.0 + np.exp(x)) * (1.0 + t), 8),
+    ], ids=["t-independent", "jump-at-half", "t-dependent"])
+    def test_matrix_reuse_matches_per_step_stream(self, monkeypatch, b,
+                                                  checks_run):
+        import layersolve.solver as solver_mod
+        calls = []
+        original = solver_mod.m_matrix_check
+
+        def counting(sys):
+            calls.append(sys)
+            return original(sys)
+
+        monkeypatch.setattr(solver_mod, "m_matrix_check", counting)
+        base = lookup("example1", 1e-8, 1e-6)
+        spec = base if b is None else with_b(base, b)
+        mesh = spatial_mesh_for(derive_regime(base), base.params, 32, 0.5)
+        grid = uniform_time_grid(1.0, 8)
+        sol = march(spec, mesh, grid, CheckPolicy.strict_policy())
+        assert len(calls) == checks_run
+        assert np.array_equal(sol.values, per_step_stream(spec, mesh, grid))
 
     def test_non_finite_initial_data_raises(self):
         spec = zero_data_spec()
