@@ -8,19 +8,19 @@ temporal       manufactured-solution temporal-order study, write order CSV
 dump-mesh      write the spatial mesh in the text dump format
 dump-solution  march one problem and write the solution CSV
 
-Outputs are written atomically (temp file + rename) so concurrent sweeps
-cannot observe partial files.  ``LAYERSOLVE_THREADS`` caps how many mu values
-of a sweep run in parallel (default 1).  All numeric flags accept scientific
-notation.  Exit codes: 0 success, 2 configuration error, 1 computation error;
+Outputs are written atomically (temp file + rename), so no reader observes
+a partial file, and a failed write removes its temp file.  The mu values of a
+sweep run one after another.  All numeric flags accept scientific notation.
+Exit codes: 0 success, 2 configuration error, 1 computation or output error;
 errors print one machine-parsable line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import analysis, registry
@@ -93,9 +93,14 @@ def _validate_config(cfg: RunConfig) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _solution_csv(sol) -> str:
@@ -163,12 +168,7 @@ def _converge_one(cfg: RunConfig, mu: float) -> "analysis.ConvergenceReport":
 
 def _run_converge(cfg: RunConfig) -> None:
     mus = cfg.mu_list if cfg.mu_list else (cfg.mu,)
-    workers = max(1, int(os.environ.get("LAYERSOLVE_THREADS", "1")))
-    if workers > 1 and len(mus) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(mus))) as pool:
-            reports = list(pool.map(lambda mu: _converge_one(cfg, mu), mus))
-    else:
-        reports = [_converge_one(cfg, mu) for mu in mus]
+    reports = [_converge_one(cfg, mu) for mu in mus]
     os.makedirs(cfg.out_path, exist_ok=True)
     for rep in reports:
         path = os.path.join(cfg.out_path, analysis.report_filename(rep.epsilon, rep.mu))
@@ -206,7 +206,7 @@ def run(cfg: RunConfig) -> int:
         return 2
     try:
         _RUNNERS[cfg.command](cfg)
-    except LayerSolveError as exc:
+    except (LayerSolveError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     return 0

@@ -59,6 +59,30 @@ class TestConfigValidation:
         assert "\n" not in err.strip()
 
 
+class TestOutputFailures:
+    MESH_ARGS = ["dump-mesh", "--epsilon", "1e-5", "--mu", "1e-4", "--N", "16"]
+
+    def test_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "mesh.txt"
+        code, _, err = run_cli(self.MESH_ARGS + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: FileNotFoundError:")
+        assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_temp_file(self, capsys, tmp_path):
+        # the temp file is written next to the target, then os.replace
+        # fails because the target is a directory
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, _, err = run_cli(self.MESH_ARGS + ["--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: IsADirectoryError:")
+        assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+
 class TestDumpMesh:
     def test_body_lines_and_landmarks(self, capsys, tmp_path):
         out = tmp_path / "mesh.txt"
