@@ -4,7 +4,8 @@ Thomas elimination is used without pivoting: every assembled system is an
 M-matrix (checked at runtime under the default policy), so elimination is
 stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
-remedy.
+remedy.  While a march's matrix repeats, its elimination is kept
+(:class:`ThomasFactors`) and only the forward and back sweeps run again.
 """
 
 from __future__ import annotations

@@ -115,8 +115,6 @@ class TestThomasSolve:
                                 sup=np.zeros(2), rhs=np.ones(2))
         with pytest.raises(ValueError):
             thomas_solve(sys)
-        with pytest.raises(ValueError):
-            thomas_factor(sys)
 
     def test_factor_solve_is_bitwise_thomas_solve(self):
         rng = np.random.default_rng(5)
@@ -141,6 +139,16 @@ class TestThomasSolve:
             with pytest.raises(ZeroPivot) as err:
                 solve(sys)
             assert err.value.row == row
+
+    def test_factor_rejects_tiny_systems_and_wrong_rhs(self):
+        tiny = TridiagonalSystem(sub=np.zeros(2), diag=np.ones(2),
+                                 sup=np.zeros(2), rhs=np.ones(2))
+        with pytest.raises(ValueError):
+            thomas_factor(tiny)
+        sys = TridiagonalSystem(sub=np.zeros(3), diag=np.ones(3),
+                                sup=np.zeros(3), rhs=np.ones(3))
+        with pytest.raises(ValueError):
+            thomas_factor(sys).solve(np.ones(4))
 
     def test_residual_within_tolerance_on_assembled_step(self):
         spec = lookup("example1", 1e-8, 1e-6)
