@@ -1,7 +1,11 @@
 """Command-line interface: config validation, file outputs, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from layersolve import UnknownExample, parse_report_csv
 from layersolve.cli import main
@@ -81,6 +85,31 @@ class TestOutputFailures:
         assert "\n" not in err.strip()
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+
+class TestOutputBytes:
+    """Byte-exact outputs; a writer that drifts by one byte fails here."""
+
+    ARGS = ["--example", "example1", "--epsilon", "1e-5", "--mu", "1e-4",
+            "--N", "16", "--M", "4"]
+    # sha256 of the text the per-node f-string writers produced
+    SHA256 = {
+        ("solve",): "fa0ae9e012a2146f4cf4ea041442ef80a0c7f28f2a9109673ee22acec1333bcd",
+        ("solve", "--plot-data"):
+            "458571ba2302c0baf238c0e7b8916f2052d5e0833ad446a797c5b20136cc55aa",
+        ("dump-mesh",): "1f083bd10e8beaf8a8e316d6217f06dafbd7bb85dd98694f3c9bec77830d0f09",
+    }
+
+    @pytest.mark.parametrize("command", sorted(SHA256))
+    def test_output_sha256(self, command, capsys, tmp_path):
+        out = tmp_path / "out.txt"
+        argv = [command[0], *self.ARGS, *command[1:], "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[command]
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_percent_format_matches_fstring(self, v):
+        assert "%.17g" % v == f"{v:.17g}"
 
 
 class TestDumpMesh:
