@@ -197,12 +197,8 @@ def temporal_order_study(man: ManufacturedProblem, n_fixed: int,
         errors.append(float(np.max(np.abs(sol.values - exact))))
 
     records = []
-    for k, m in enumerate(ms):
-        ratio: float | None = None
-        order: float | None = None
-        if k + 1 < len(ms) and errors[k + 1] > 0.0 and errors[k] > 0.0:
-            ratio = errors[k] / errors[k + 1]
-            order = math.log2(ratio)
+    for k, (m, order) in enumerate(zip(ms, orders_from_errors(errors))):
+        ratio = None if order is None else errors[k] / errors[k + 1]
         records.append(TemporalLevel(m=m, error=errors[k], ratio=ratio, order=order))
     return TemporalOrderReport(n=n_fixed, levels=tuple(records))
 

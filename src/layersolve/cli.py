@@ -6,10 +6,10 @@ solve          march one problem and write the solution CSV (or plot data)
 converge       run the double-mesh study, write report CSV(s), print the table
 temporal       manufactured-solution temporal-order study, write order CSV
 dump-mesh      write the spatial mesh in the text dump format
-dump-solution  march one problem and write the solution CSV
 
 Outputs are written atomically (temp file + rename), so no reader observes
-a partial file, and a failed write removes its temp file.  The mu values of a
+a partial file, and a failed write removes its temp file.  The solution CSV
+and the plot data are streamed one time level at a time.  The mu values of a
 sweep run one after another.  All numeric flags accept scientific notation.
 Exit codes: 0 success, 2 configuration error, 1 computation or output error;
 errors print one machine-parsable line to stderr.
@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import analysis, registry
@@ -31,7 +32,7 @@ from .solver import CheckPolicy, march
 
 __all__ = ["RunConfig", "run", "main"]
 
-COMMANDS = ("solve", "converge", "temporal", "dump-mesh", "dump-solution")
+COMMANDS = ("solve", "converge", "temporal", "dump-mesh")
 
 _CHECK_POLICIES = {
     "strict": CheckPolicy.strict_policy(),
@@ -41,7 +42,6 @@ _CHECK_POLICIES = {
 
 _DEFAULT_OUT = {
     "solve": "solution.csv",
-    "dump-solution": "solution.csv",
     "dump-mesh": "mesh.txt",
     "converge": ".",
     "temporal": "temporal.csv",
@@ -91,11 +91,11 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{name}={value} must be in (0, 1]")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -103,27 +103,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _solution_csv(sol) -> str:
-    lines = ["t,x,u"]
-    times = sol.grid.times
-    xs = sol.mesh.points
-    for j in range(sol.grid.m + 1):
-        row = sol.values[j]
-        t = times[j]
-        lines.extend(f"{t:.17g},{xs[i]:.17g},{row[i]:.17g}"
-                     for i in range(sol.mesh.n + 1))
-    return "\n".join(lines) + "\n"
+# The writers below yield one chunk per time level.  x is formatted once per
+# solve and each level's u row with a single % call; '%.17g' % v gives the
+# same text as f"{v:.17g}" for every double.
+
+def _solution_csv(sol) -> Iterator[str]:
+    yield "t,x,u\n"
+    pieces = [f"{x:.17g},%.17g" for x in sol.mesh.points]
+    for t, row in zip(sol.grid.times, sol.values):
+        prefix = f"{t:.17g},"
+        template = prefix + ("\n" + prefix).join(pieces) + "\n"
+        yield template % tuple(row.tolist())
 
 
-def _plot_data(sol) -> str:
-    blocks = []
-    xs = sol.mesh.points
-    for j in range(sol.grid.m + 1):
-        lines = [f"# t={sol.grid.times[j]:.17g}"]
-        lines.extend(f"{xs[i]:.17g} {sol.values[j][i]:.17g}"
-                     for i in range(sol.mesh.n + 1))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+def _plot_data(sol) -> Iterator[str]:
+    body = "\n".join(f"{x:.17g} %.17g" for x in sol.mesh.points) + "\n"
+    sep = ""
+    for t, row in zip(sol.grid.times, sol.values):
+        yield f"{sep}# t={t:.17g}\n" + body % tuple(row.tolist())
+        sep = "\n"
 
 
 def _mesh_dump(mesh) -> str:
@@ -149,14 +147,14 @@ def _run_solve(cfg: RunConfig) -> None:
     mesh = _build_mesh(cfg, spec)
     grid = uniform_time_grid(spec.t_final, cfg.m if cfg.m is not None else cfg.n)
     sol = march(spec, mesh, grid, cfg.checks)
-    text = _plot_data(sol) if cfg.plot_data else _solution_csv(sol)
-    _atomic_write(cfg.out_path, text)
+    writer = _plot_data if cfg.plot_data else _solution_csv
+    _atomic_write(cfg.out_path, writer(sol))
 
 
 def _run_dump_mesh(cfg: RunConfig) -> None:
     spec = registry.lookup(cfg.example, cfg.epsilon, cfg.mu)
     validate(spec)
-    _atomic_write(cfg.out_path, _mesh_dump(_build_mesh(cfg, spec)))
+    _atomic_write(cfg.out_path, [_mesh_dump(_build_mesh(cfg, spec))])
 
 
 def _converge_one(cfg: RunConfig, mu: float) -> "analysis.ConvergenceReport":
@@ -172,7 +170,7 @@ def _run_converge(cfg: RunConfig) -> None:
     os.makedirs(cfg.out_path, exist_ok=True)
     for rep in reports:
         path = os.path.join(cfg.out_path, analysis.report_filename(rep.epsilon, rep.mu))
-        _atomic_write(path, analysis.render_report_csv(rep))
+        _atomic_write(path, [analysis.render_report_csv(rep)])
     sys.stdout.write(analysis.render_text_table(reports))
 
 
@@ -185,12 +183,11 @@ def _run_temporal(cfg: RunConfig) -> None:
         m_list.append(m)
         m *= 2
     report = analysis.temporal_order_study(man, cfg.n, tuple(m_list), cfg.checks)
-    _atomic_write(cfg.out_path, analysis.render_temporal_csv(report))
+    _atomic_write(cfg.out_path, [analysis.render_temporal_csv(report)])
 
 
 _RUNNERS = {
     "solve": _run_solve,
-    "dump-solution": _run_solve,
     "dump-mesh": _run_dump_mesh,
     "converge": _run_converge,
     "temporal": _run_temporal,

@@ -204,6 +204,11 @@ def _data_sup(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid) -> float:
                      np.max(np.abs(q_vals))))
 
 
+def _stability_bound(data_sup: float, f_sup: float, beta: float) -> float:
+    """The a priori bound data_sup + f_sup/beta, plus STABILITY_SLACK."""
+    return data_sup + f_sup / beta + STABILITY_SLACK
+
+
 def _fail(strict: bool, exc_type, message: str) -> None:
     if strict:
         raise exc_type(message)
@@ -230,8 +235,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         raise NonFiniteValue("initial data contains non-finite values")
 
     if checks.stability:
-        bound = (_data_sup(spec, mesh, grid) + _f_sup(spec) / spec.beta
-                 + STABILITY_SLACK)
+        bound = _stability_bound(_data_sup(spec, mesh, grid), _f_sup(spec), spec.beta)
     running_max = float(np.max(np.abs(values[0])))
 
     key = op = factors = row_scale = None
@@ -316,7 +320,7 @@ def stability_audit(sol: DiscreteSolution, spec: ProblemSpec,
     """Check max |U| <= data_sup + sup|f|/beta + slack on a completed solution."""
     data_sup = _data_sup(spec, sol.mesh, sol.grid)
     f_sup = _f_sup(spec, sample_density)
-    bound = data_sup + f_sup / spec.beta + STABILITY_SLACK
+    bound = _stability_bound(data_sup, f_sup, spec.beta)
     max_abs = float(np.max(np.abs(sol.values)))
     return AuditReport(max_abs=max_abs, data_sup=data_sup, f_sup=f_sup,
                        beta=spec.beta, bound=bound, margin=bound - max_abs)
