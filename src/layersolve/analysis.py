@@ -105,8 +105,7 @@ class ConvergenceReport:
 
 def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
                       variant: ThetaVariant = ThetaVariant.SECTION4,
-                      checks: CheckPolicy = CheckPolicy(),
-                      sample_density: int = 101) -> ConvergenceReport:
+                      checks: CheckPolicy = CheckPolicy()) -> ConvergenceReport:
     """Run the nested-refinement study and report E and R per level.
 
     Produces ``levels`` report rows at (N, M) = (base_n*2^l, base_m*2^l); one
@@ -116,8 +115,8 @@ def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
     """
     if levels < 2:
         raise ValueError("a study needs at least 2 levels")
-    validate(spec, sample_density)
-    regime = derive_regime(spec, sample_density)
+    validate(spec)
+    regime = derive_regime(spec)
 
     mesh = spatial_mesh_for(regime, spec.params, base_n, spec.d, variant)
     meshes: list[SpatialMesh] = [mesh]

@@ -7,6 +7,11 @@ converge       run the double-mesh study, write report CSV(s), print the table
 temporal       manufactured-solution temporal-order study, write order CSV
 dump-mesh      write the spatial mesh in the text dump format
 
+``temporal`` always solves the manufactured sine problem at eps = mu = 1
+and reads only --N, --M, --checks and --out.  --mu-list is read by
+``converge`` only; the other commands reject it.  --checks strict|warn|off
+selects CheckPolicy.strict_policy(), CheckPolicy() and CheckPolicy.off().
+
 Outputs are written atomically (temp file + rename), so no reader observes
 a partial file, and a failed write removes its temp file.  The solution CSV
 and the plot data are streamed one time level at a time.  The mu values of a
@@ -25,8 +30,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import analysis, registry
-from .errors import LayerSolveError
-from .mesh import ThetaVariant, spatial_mesh_for, uniform_time_grid
+from .errors import LayerSolveError, UnknownExample
+from .mesh import ThetaVariant, _check_n, spatial_mesh_for, uniform_time_grid
 from .problem import derive_regime, validate
 from .solver import CheckPolicy, march
 
@@ -76,19 +81,19 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.example == "custom":
         raise ConfigError("custom problems are defined in host code via "
                           "ProblemSpec; the CLI serves the registry only")
-    if cfg.example not in registry.REGISTRY_KEYS:
-        raise ConfigError(f"unknown example {cfg.example!r}; "
-                          f"available: {', '.join(registry.REGISTRY_KEYS)}")
-    if cfg.n < 16 or cfg.n % 8 != 0:
-        raise ConfigError(f"N={cfg.n} must be >= 16 and divisible by 8")
+    if cfg.mu_list and cfg.command != "converge":
+        raise ConfigError(f"--mu-list is read by converge only, not {cfg.command}")
+    # lookup raises for an unknown key and for eps or mu outside (0, 1]
+    try:
+        for mu in (cfg.mu, *cfg.mu_list):
+            registry.lookup(cfg.example, cfg.epsilon, mu)
+        _check_n(cfg.n)
+    except (UnknownExample, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.m is not None and cfg.m < 1:
         raise ConfigError("M must be positive")
     if cfg.command == "converge" and cfg.levels < 2:
         raise ConfigError("levels must be at least 2 for converge")
-    for name, value in (("epsilon", cfg.epsilon), ("mu", cfg.mu),
-                        *((f"mu-list[{k}]", v) for k, v in enumerate(cfg.mu_list))):
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"{name}={value} must be in (0, 1]")
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:

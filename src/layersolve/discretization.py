@@ -94,12 +94,6 @@ class TridiagonalSystem:
         """Matrix-vector product of the stored tridiagonal matrix with x."""
         return _tridiagonal_apply(self.sub, self.diag, self.sup, x)
 
-    def dump_rows(self) -> str:
-        """Debug dump: one row per line as ``i sub diag sup rhs``."""
-        return "\n".join(
-            f"{i} {self.sub[i]:.17g} {self.diag[i]:.17g} {self.sup[i]:.17g} {self.rhs[i]:.17g}"
-            for i in range(self.size))
-
 
 def interior_row(spec: ProblemSpec, mesh: SpatialMesh, i: int, t_mid: float,
                  dt: float, u_prev: np.ndarray) -> StencilWeights:

@@ -154,11 +154,6 @@ class SpatialMesh:
     def d(self) -> float:
         return float(self.points[self.n // 2])
 
-    @property
-    def steps(self) -> np.ndarray:
-        """h_1..h_N as a length-N array."""
-        return self.h[1:]
-
     def segment_label(self, i: int) -> str:
         """Name of the segment point i belongs to; junctions go to the left segment."""
         n = self.n

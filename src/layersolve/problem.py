@@ -161,11 +161,6 @@ class CheckResult:
     observed: float
     limit: float
 
-    def describe(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (f"{self.name}: {status} (observed {self.observed:.6g}, "
-                f"limit {self.limit:.6g}, worst at x={self.worst_x:.6g}, t={self.worst_t:.6g})")
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -175,9 +170,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def describe(self) -> str:
-        return "\n".join(c.describe() for c in self.checks)
 
 
 def _worst(values: np.ndarray, xs: np.ndarray, ts: np.ndarray, pick_max: bool):

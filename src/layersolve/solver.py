@@ -46,17 +46,16 @@ _MATRIX_RTOL = 100.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class CheckPolicy:
-    """Which runtime audits run during a march and how failures are handled.
+    """Whether the runtime audits run during a march and how failures are handled.
 
+    ``audit`` switches the M-matrix, residual and stability audits together.
     With ``strict`` a failed audit raises (MMatrixViolation, ResidualViolation,
     StabilityViolation); otherwise it warns and the march continues.  The
-    default keeps all audits on in warn mode so experiments complete while
+    default keeps the audits on in warn mode so experiments complete while
     logging anomalies.
     """
 
-    m_matrix: bool = True
-    residual: bool = True
-    stability: bool = True
+    audit: bool = True
     strict: bool = False
 
     @classmethod
@@ -65,7 +64,7 @@ class CheckPolicy:
 
     @classmethod
     def off(cls) -> "CheckPolicy":
-        return cls(m_matrix=False, residual=False, stability=False)
+        return cls(audit=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +88,11 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     Raises ZeroPivot (with the row index) when an eliminated pivot has
     magnitude below PIVOT_FLOOR.  Boundary identity rows come back bit-exact.
     """
+    return _back_substitute(*_eliminate(sys))
+
+
+def _eliminate(sys: TridiagonalSystem) -> tuple[list[float], list[float]]:
+    """Forward elimination: the multipliers c and the swept right-hand side."""
     if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
     sub = sys.sub.tolist()
@@ -111,7 +115,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
         xi = (r - s * xi) / piv
         c.append(ci)
         x.append(xi)
-    return _back_substitute(c, x)
+    return c, x
 
 
 def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
@@ -153,28 +157,13 @@ def thomas_factor(sys: TridiagonalSystem) -> ThomasFactors:
     """Eliminate the matrix of ``sys`` once; its right-hand side is ignored.
 
     Raises ZeroPivot (with the row index) exactly where :func:`thomas_solve`
-    would on the same matrix.
+    would on the same matrix.  The pivots diag - sub*c are formed
+    elementwise with the same two roundings as the elimination loop.
     """
-    if sys.size < 3:
-        raise ValueError("system must have at least 3 rows")
-    sub = sys.sub.tolist()
-    diag = sys.diag.tolist()
-    sup = sys.sup.tolist()
-
-    p = diag[0]
-    if abs(p) < PIVOT_FLOOR:
-        raise ZeroPivot(0)
-    ci = sup[0] / p
-    piv = [p]
-    c = [ci]
-    for s, d, u in zip(sub[1:], diag[1:], sup[1:]):
-        p = d - s * ci
-        if abs(p) < PIVOT_FLOOR:
-            raise ZeroPivot(len(c))
-        ci = u / p
-        piv.append(p)
-        c.append(ci)
-    return ThomasFactors(sub=sub, piv=piv, c=c)
+    c, _ = _eliminate(sys)
+    piv = sys.diag.copy()
+    piv[1:] -= sys.sub[1:] * np.array(c[:-1])
+    return ThomasFactors(sub=sys.sub.tolist(), piv=piv.tolist(), c=c)
 
 
 def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
@@ -187,11 +176,11 @@ def _eval_on(fn, arg) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(vals, np.shape(arg)))
 
 
-def _f_sup(spec: ProblemSpec, sample_density: int = 101) -> float:
-    ts = np.linspace(0.0, spec.t_final, sample_density)
+def _f_sup(spec: ProblemSpec) -> float:
+    ts = np.linspace(0.0, spec.t_final, 101)
     sup = 0.0
     for lo, hi, fn in ((0.0, spec.d, spec.f.left), (spec.d, 1.0, spec.f.right)):
-        xs = np.linspace(lo, hi, sample_density)
+        xs = np.linspace(lo, hi, 101)
         sup = max(sup, float(np.max(np.abs(_sample(fn, xs, ts)))))
     return sup
 
@@ -234,7 +223,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteValue("initial data contains non-finite values")
 
-    if checks.stability:
+    if checks.audit:
         bound = _stability_bound(_data_sup(spec, mesh, grid), _f_sup(spec), spec.beta)
     running_max = float(np.max(np.abs(values[0])))
 
@@ -248,12 +237,12 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             key = new_key
             op = build_operator(spec, mesh, grid.dt, samples)
             factors = None
-            if checks.residual:
+            if checks.audit:
                 row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
                                          + np.abs(op.sup)))
         sys = op.system(step_rhs(spec, mesh, op, t_next, grid.dt, values[j]))
         # an unchanged matrix has already had its verdict
-        if checks.m_matrix and not reused:
+        if checks.audit and not reused:
             report = m_matrix_check(sys)
             if not report.passed:
                 _fail(checks.strict, MMatrixViolation,
@@ -274,7 +263,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
                             f"(N={n}, M={grid.m})") from exc
         if not np.all(np.isfinite(u)):
             raise NonFiniteValue(f"non-finite value at step j={j} (N={n}, M={grid.m})")
-        if checks.residual:
+        if checks.audit:
             res = residual_max_norm(sys, u)
             # rhs-anchored tolerance, plus a matrix-scale term for degenerate
             # (eps ~ 1) instances whose matrix entries dwarf the rhs
@@ -288,7 +277,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         u[n] = sys.rhs[n]
         values[j + 1] = u
         running_max = max(running_max, float(np.max(np.abs(u))))
-        if checks.stability and running_max > bound:
+        if checks.audit and running_max > bound:
             _fail(checks.strict, StabilityViolation,
                   f"running max {running_max:.6g} exceeds stability bound "
                   f"{bound:.6g} at step j={j} (N={n}, M={grid.m})")
@@ -315,11 +304,10 @@ class AuditReport:
         return self.margin >= 0.0
 
 
-def stability_audit(sol: DiscreteSolution, spec: ProblemSpec,
-                    sample_density: int = 101) -> AuditReport:
+def stability_audit(sol: DiscreteSolution, spec: ProblemSpec) -> AuditReport:
     """Check max |U| <= data_sup + sup|f|/beta + slack on a completed solution."""
     data_sup = _data_sup(spec, sol.mesh, sol.grid)
-    f_sup = _f_sup(spec, sample_density)
+    f_sup = _f_sup(spec)
     bound = _stability_bound(data_sup, f_sup, spec.beta)
     max_abs = float(np.max(np.abs(sol.values)))
     return AuditReport(max_abs=max_abs, data_sup=data_sup, f_sup=f_sup,
@@ -341,14 +329,14 @@ class EnvelopeReport:
         return self.max_outer_slope <= self.c_env
 
 
-def layer_envelope_diagnostic(sol: DiscreteSolution, layer: LayerParams | None = None,
+def layer_envelope_diagnostic(sol: DiscreteSolution,
                               c_env: float = 100.0) -> EnvelopeReport:
     """Advisory check that steep gradients stay confined to the layer regions.
 
     Reports max |D- U| over [tau1, d-tau2] u [d+tau3, 1-tau4] (all time
     levels) and whether it stays below ``c_env``.  The outer region is fixed
-    by the mesh's segment indices; ``layer`` (defaulting to the mesh's own
-    parameters) is echoed in the report for context.
+    by the mesh's segment indices; the mesh's layer parameters are echoed in
+    the report for context.
     """
     mesh = sol.mesh
     n = mesh.n
@@ -364,4 +352,4 @@ def layer_envelope_diagnostic(sol: DiscreteSolution, layer: LayerParams | None =
     return EnvelopeReport(max_outer_slope=best[0], c_env=c_env,
                           argmax_x=float(mesh.points[best[1]]),
                           argmax_t=float(sol.grid.times[best[2]]),
-                          layer=layer if layer is not None else mesh.layer)
+                          layer=mesh.layer)

@@ -53,6 +53,36 @@ class TestConfigValidation:
         code, _, err = run_cli(["solve", "--epsilon", "2.0"], capsys)
         assert code == 2
 
+    def test_unknown_example_lists_registry_keys(self, capsys):
+        code, _, err = run_cli(["solve", "--example", "example9"], capsys)
+        assert code == 2
+        assert "available: example1, example2" in err
+
+    def test_m_floor(self, capsys, tmp_path):
+        code, _, err = run_cli(["solve", "--M", "0",
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mu_list_range_names_the_value(self, capsys, tmp_path):
+        code, _, err = run_cli(CONVERGE_ARGS + ["--mu-list", "1e-4,2.0",
+                                                "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "2.0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "dump-mesh", "temporal"])
+    def test_mu_list_outside_converge_is_rejected(self, capsys, tmp_path, command):
+        code, _, err = run_cli([command, "--mu-list", "1e-7,1e-8",
+                                "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "--mu-list" in err
+        assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == []
+
     def test_computation_error_is_exit_one(self, capsys, tmp_path):
         # eps=0.5 at N=16 makes the transition widths overlap
         code, _, err = run_cli(["dump-mesh", "--epsilon", "0.5", "--mu", "1e-4",

@@ -124,6 +124,16 @@ class TestThomasSolve:
                    for _ in range(10)]
         systems.append(assemble(spec, mesh, 0.5, 1.0 / 64,
                                 np.sin(3.0 * mesh.points)))
+        # rows scaled by 10^-150..10^150, all-negative and mixed-sign
+        # diagonals: factor forms its pivots elementwise, so a rounding
+        # that differs from the elimination loop shows here
+        for size in (3, 17, 640, 4097):
+            base = random_dominant_system(rng, size)
+            scale = 10.0 ** rng.uniform(-150.0, 150.0, size)
+            for diag in (base.diag, -np.abs(base.diag)):
+                systems.append(TridiagonalSystem(
+                    sub=base.sub * scale, diag=diag * scale,
+                    sup=base.sup * scale, rhs=base.rhs * scale))
         for sys in systems:
             assert (thomas_factor(sys).solve(sys.rhs).tobytes()
                     == thomas_solve(sys).tobytes())
