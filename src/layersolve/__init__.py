@@ -11,25 +11,22 @@ from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
                        double_mesh_error, parse_report_csv, render_report_csv,
                        render_text_table, temporal_order_study)
 from .discretization import (MMatrixReport, StencilWeights, TridiagonalSystem,
-                             assemble, discontinuity_row, interior_row,
-                             m_matrix_check)
+                             assemble, discontinuity_row, m_matrix_check)
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      LayerSolveError, LayersOverlap, ManufacturedMismatch,
                      MeshMismatch, MMatrixViolation, NonFiniteValue,
                      NonMonotone, ResidualViolation, SignViolation,
                      StabilityViolation, UnknownExample, UnsupportedRegime,
                      ZeroPivot)
-from .mesh import (LayerParams, PhiReport, SpatialMesh, ThetaVariant, TimeGrid,
-                   bisect, build_mesh, layer_params, phi_diagnostics,
-                   spatial_mesh_for, transition_points, uniform_mesh,
-                   uniform_time_grid)
+from .mesh import (LayerParams, SpatialMesh, ThetaVariant, TimeGrid, bisect,
+                   build_mesh, layer_params, spatial_mesh_for,
+                   transition_points, uniform_mesh, uniform_time_grid)
 from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       RegimeCase, RegimeConstants, ValidationReport,
                       derive_regime, validate)
 from .registry import (ManufacturedProblem, lookup, manufactured_linear,
                        manufactured_sine, manufactured_steady)
-from .solver import (AuditReport, CheckPolicy, DiscreteSolution,
-                     EnvelopeReport, layer_envelope_diagnostic, march,
+from .solver import (AuditReport, CheckPolicy, DiscreteSolution, march,
                      ThomasFactors, residual_max_norm, stability_audit,
                      thomas_factor, thomas_solve)
 

@@ -149,14 +149,14 @@ class TemporalOrderReport:
     levels: tuple[TemporalLevel, ...]
 
 
-def _manufactured_residual(man: ManufacturedProblem, sample_density: int = 33) -> float:
+def _manufactured_residual(man: ManufacturedProblem) -> float:
     spec = man.spec
     eps, mu = spec.params.epsilon, spec.params.mu
-    ts = np.linspace(0.0, spec.t_final, sample_density)
+    ts = np.linspace(0.0, spec.t_final, 33)
     worst = 0.0
     for lo, hi, a_fn, f_fn in ((0.0, spec.d, spec.a.left, spec.f.left),
                                (spec.d, 1.0, spec.a.right, spec.f.right)):
-        xs = np.linspace(lo, hi, sample_density)[:, None]
+        xs = np.linspace(lo, hi, 33)[:, None]
         tt = ts[None, :]
         res = (eps * man.exact_xx(xs, tt) + mu * a_fn(xs, tt) * man.exact_x(xs, tt)
                - spec.b(xs, tt) * man.exact(xs, tt)

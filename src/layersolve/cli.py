@@ -7,10 +7,10 @@ converge       run the double-mesh study, write report CSV(s), print the table
 temporal       manufactured-solution temporal-order study, write order CSV
 dump-mesh      write the spatial mesh in the text dump format
 
-``temporal`` always solves the manufactured sine problem at eps = mu = 1
-and reads only --N, --M, --checks and --out.  --mu-list is read by
-``converge`` only; the other commands reject it.  --checks strict|warn|off
-selects CheckPolicy.strict_policy(), CheckPolicy() and CheckPolicy.off().
+Each command declares only the flags it reads; any other flag is a
+configuration error.  ``temporal`` always solves the manufactured sine
+problem at eps = mu = 1.  --checks strict|warn|off selects
+CheckPolicy.strict_policy(), CheckPolicy() and CheckPolicy.off().
 
 Outputs are written atomically (temp file + rename), so no reader observes
 a partial file, and a failed write removes its temp file.  The solution CSV
@@ -81,8 +81,6 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.example == "custom":
         raise ConfigError("custom problems are defined in host code via "
                           "ProblemSpec; the CLI serves the registry only")
-    if cfg.mu_list and cfg.command != "converge":
-        raise ConfigError(f"--mu-list is read by converge only, not {cfg.command}")
     # lookup raises for an unknown key and for eps or mu outside (0, 1]
     try:
         for mu in (cfg.mu, *cfg.mu_list):
@@ -90,6 +88,15 @@ def _validate_config(cfg: RunConfig) -> None:
         _check_n(cfg.n)
     except (UnknownExample, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    # report_filename keeps 6 significant digits of mu; two values that agree
+    # there would silently overwrite one report with the other
+    seen: dict[str, float] = {}
+    for mu in cfg.mu_list:
+        name = analysis.report_filename(cfg.epsilon, mu)
+        if name in seen:
+            raise ConfigError(f"--mu-list values {seen[name]!r} and {mu!r} "
+                              f"both write {name}")
+        seen[name] = mu
     if cfg.m is not None and cfg.m < 1:
         raise ConfigError("M must be positive")
     if cfg.command == "converge" and cfg.levels < 2:
@@ -214,61 +221,85 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns every parse failure into a ConfigError instead of a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _mu_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command, each declaring only the flags it reads."""
+    size = _Parser(add_help=False)
+    size.add_argument("--N", dest="n", type=int, default=64,
+                      help="spatial intervals (divisible by 8)")
+    problem = _Parser(add_help=False, parents=[size])
+    problem.add_argument("--example", default="example1",
+                         help="registry key (example1, example2)")
+    problem.add_argument("--epsilon", type=float, default=1e-8,
+                         help="diffusion parameter (scientific notation ok)")
+    problem.add_argument("--mu", type=float, default=1e-6,
+                         help="convection parameter")
+    problem.add_argument("--theta-variant", default="section4",
+                         choices=[v.value for v in ThetaVariant])
+    steps = _Parser(add_help=False)
+    steps.add_argument("--M", dest="m", type=int, default=None,
+                       help="time steps (defaults to N; for temporal: largest M)")
+    steps.add_argument("--checks", default="warn", choices=sorted(_CHECK_POLICIES))
+
+    parser = _Parser(
         prog="layersolve",
         description="Layer-adapted Crank-Nicolson/upwind solver for "
                     "two-parameter singularly perturbed parabolic problems "
                     "with an interior discontinuity.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--example", default="example1",
-                        help="registry key (example1, example2)")
-    parser.add_argument("--epsilon", type=float, default=1e-8,
-                        help="diffusion parameter (scientific notation ok)")
-    parser.add_argument("--mu", type=float, default=1e-6,
-                        help="convection parameter")
-    parser.add_argument("--mu-list", type=str, default="",
-                        help="comma-separated mu values for a converge sweep")
-    parser.add_argument("--N", dest="n", type=int, default=64,
-                        help="spatial intervals (divisible by 8)")
-    parser.add_argument("--M", dest="m", type=int, default=None,
-                        help="time steps (defaults to N; for temporal: largest M)")
-    parser.add_argument("--levels", type=int, default=4,
-                        help="refinement levels for converge")
-    parser.add_argument("--theta-variant", default="section4",
-                        choices=[v.value for v in ThetaVariant])
-    parser.add_argument("--checks", default="warn", choices=sorted(_CHECK_POLICIES))
-    parser.add_argument("--out", default=None,
-                        help="output file (directory for converge)")
-    parser.add_argument("--plot-data", action="store_true",
-                        help="solve: emit x-u pairs per time slice instead of CSV")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="command")
+    solve = commands.add_parser(
+        "solve", parents=[problem, steps],
+        help="march one problem and write the solution CSV (or plot data)")
+    solve.add_argument("--plot-data", action="store_true",
+                       help="emit x-u pairs per time slice instead of CSV")
+    converge = commands.add_parser(
+        "converge", parents=[problem, steps],
+        help="run the double-mesh study, write report CSV(s), print the table")
+    converge.add_argument("--mu-list", type=_mu_list, default=(),
+                          help="comma-separated mu values for a sweep")
+    converge.add_argument("--levels", type=int, default=4,
+                          help="refinement levels")
+    commands.add_parser(
+        "temporal", parents=[size, steps],
+        help="manufactured-solution temporal-order study, write order CSV")
+    commands.add_parser(
+        "dump-mesh", parents=[problem],
+        help="write the spatial mesh in the text dump format")
+    for name, sub in commands.choices.items():
+        sub.add_argument("--out", dest="out_path", metavar="OUT",
+                         default=_DEFAULT_OUT[name],
+                         help="output directory" if name == "converge"
+                         else "output file")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    try:
-        mu_list = tuple(float(tok) for tok in args.mu_list.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --mu-list: {exc}") from None
-    return RunConfig(
-        command=args.command,
-        example=args.example,
-        epsilon=args.epsilon,
-        mu=args.mu,
-        mu_list=mu_list,
-        n=args.n,
-        m=args.m,
-        levels=args.levels,
-        theta_variant=ThetaVariant(args.theta_variant),
-        checks=_CHECK_POLICIES[args.checks],
-        out_path=args.out if args.out is not None else _DEFAULT_OUT[args.command],
-        plot_data=args.plot_data)
+    """RunConfig from parsed flags; flags a command lacks keep their defaults."""
+    fields = dict(vars(args))
+    if "checks" in fields:
+        fields["checks"] = _CHECK_POLICIES[fields["checks"]]
+    if "theta_variant" in fields:
+        fields["theta_variant"] = ThetaVariant(fields["theta_variant"])
+    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
     except ConfigError as exc:
         sys.stderr.write(f"error: config: {exc}\n")
         return 2

@@ -36,7 +36,6 @@ __all__ = [
     "StencilWeights",
     "TridiagonalSystem",
     "MMatrixReport",
-    "interior_row",
     "discontinuity_row",
     "StepOperator",
     "sample_coefficients",
@@ -95,58 +94,6 @@ class TridiagonalSystem:
         return _tridiagonal_apply(self.sub, self.diag, self.sup, x)
 
 
-def interior_row(spec: ProblemSpec, mesh: SpatialMesh, i: int, t_mid: float,
-                 dt: float, u_prev: np.ndarray) -> StencilWeights:
-    """Implicit weights and forcing of one interior row, in operator form.
-
-    The weights encode eps*d2 + mu*a*D* - cbar*I (off-diagonals >= 0, center
-    < 0); :func:`assemble` negates them for storage.  All coefficients are
-    evaluated at (x_i, t_mid) on the branch matching i's side of N/2; the
-    forcing is gtilde built from the same discrete operators applied to
-    ``u_prev``.
-    """
-    n = mesh.n
-    mid = n // 2
-    if not (1 <= i <= n - 1) or i == mid:
-        raise ValueError(f"i={i} is not an interior PDE row for N={n}")
-    x = mesh.points
-    hi = float(mesh.h[i])
-    hi1 = float(mesh.h[i + 1])
-    hbar2 = hi + hi1  # 2 * hbar_i
-    eps = spec.params.epsilon
-    mu = spec.params.mu
-    xi = float(x[i])
-
-    if i < mid:
-        a_v = float(spec.a.left(xi, t_mid))
-        f_v = float(spec.f.left(xi, t_mid))
-    else:
-        a_v = float(spec.a.right(xi, t_mid))
-        f_v = float(spec.f.right(xi, t_mid))
-    b_v = float(spec.b(xi, t_mid))
-    c_v = float(spec.c(xi, t_mid))
-    cbar = b_v + 2.0 * c_v / dt
-    dbar = b_v - 2.0 * c_v / dt
-
-    w_minus = 2.0 * eps / (hi * hbar2)
-    w_plus = 2.0 * eps / (hi1 * hbar2)
-    w_center = -2.0 * eps / (hi * hi1) - cbar
-
-    um, u0, up = float(u_prev[i - 1]), float(u_prev[i]), float(u_prev[i + 1])
-    d2u = 2.0 * ((up - u0) / hi1 - (u0 - um) / hi) / hbar2
-    if i < mid:
-        # upwind D- on the left of the discontinuity (a < 0 there)
-        w_minus += -mu * a_v / hi
-        w_center += mu * a_v / hi
-        du = (u0 - um) / hi
-    else:
-        w_plus += mu * a_v / hi1
-        w_center += -mu * a_v / hi1
-        du = (up - u0) / hi1
-    forcing = 2.0 * f_v - eps * d2u - mu * a_v * du + dbar * u0
-    return StencilWeights(w_minus, w_center, w_plus, forcing)
-
-
 def discontinuity_row(mesh: SpatialMesh) -> StencilWeights:
     """Transmission row at i = N/2: D+ U = D- U, independent of t and u_prev.
 
@@ -203,7 +150,8 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     """The step matrix from :func:`sample_coefficients` output.
 
     Rows 0 and N are identity rows, row N/2 is the transmission row and
-    every other row is the negated interior stencil of :func:`interior_row`.
+    every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with a
+    from the branch on i's side of N/2 and D* upwind (D- left, D+ right).
     """
     n = mesh.n
     h = mesh.h
@@ -275,8 +223,8 @@ def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
     """Assemble the full system for the step advancing to t_next.
 
     Row 0 pins U_0 = p(t_next), row N pins U_N = r(t_next), row N/2 is the
-    transmission row; every other row is the (negated) interior stencil.
-    Vectorized; equivalent row-by-row to :func:`interior_row`.
+    transmission row; every other row is the (negated) interior stencil of
+    :func:`build_operator` with the right side of :func:`step_rhs`.
     """
     n = mesh.n
     if u_prev.shape != (n + 1,):

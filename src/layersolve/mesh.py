@@ -35,9 +35,6 @@ __all__ = [
     "uniform_mesh",
     "spatial_mesh_for",
     "bisect",
-    "phi_diagnostics",
-    "PhiSegment",
-    "PhiReport",
     "uniform_time_grid",
 ]
 
@@ -150,10 +147,6 @@ class SpatialMesh:
     def d_index(self) -> int:
         return self.n // 2
 
-    @property
-    def d(self) -> float:
-        return float(self.points[self.n // 2])
-
     def segment_label(self, i: int) -> str:
         """Name of the segment point i belongs to; junctions go to the left segment."""
         n = self.n
@@ -254,64 +247,6 @@ def bisect(mesh: SpatialMesh) -> SpatialMesh:
     fine[0::2] = old
     fine[1::2] = 0.5 * (old[:-1] + old[1:])
     return SpatialMesh(n=2 * mesh.n, points=fine, tau=mesh.tau, layer=mesh.layer)
-
-
-@dataclass(frozen=True)
-class PhiSegment:
-    label: str
-    max_slope: float
-    slope_integral: float
-    max_slope_ratio: float
-    integral_ratio: float
-
-    @property
-    def within_bound(self) -> bool:
-        return self.max_slope_ratio <= 64.0 and self.integral_ratio <= 64.0
-
-
-@dataclass(frozen=True)
-class PhiReport:
-    """Discrete mesh-generating-function diagnostics, one record per layer segment.
-
-    For each graded segment the generating function phi (recovered from the
-    points via x = phi-scaled landmark geometry) is differenced on the
-    reference grid xi_i = i/N; ``max_slope_ratio`` is max|dphi/dxi| / N and
-    ``integral_ratio`` is sum (dphi/dxi)^2 dxi / N.  Both stay below 64
-    because |phi'| <= 8*sqrt(N) on every segment.
-    """
-
-    n: int
-    segments: tuple[PhiSegment, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(s.within_bound for s in self.segments)
-
-
-def phi_diagnostics(mesh: SpatialMesh) -> PhiReport:
-    """Per-segment slope diagnostics of the mesh-generating functions."""
-    n = mesh.n
-    x = mesh.points
-    d = mesh.d
-    th1, th2 = mesh.layer.theta1, mesh.layer.theta2
-    n8, n38, n2, n58, n78 = n // 8, 3 * n // 8, n // 2, 5 * n // 8, 7 * n // 8
-
-    segs = (
-        ("L1", slice(0, n8 + 1), lambda xs: th1 * xs / 8.0),
-        ("L2", slice(n38, n2 + 1), lambda xs: th2 * (d - xs) / 8.0),
-        ("L3", slice(n2, n58 + 1), lambda xs: th2 * (xs - d) / 8.0),
-        ("L4", slice(n78, n + 1), lambda xs: th1 * (1.0 - xs) / 8.0),
-    )
-    dxi = 1.0 / n
-    records = []
-    for label, sl, to_phi in segs:
-        phi = to_phi(x[sl])
-        slopes = np.abs(np.diff(phi)) / dxi
-        max_slope = float(slopes.max())
-        integral = float(np.sum(slopes * slopes) * dxi)
-        records.append(PhiSegment(label, max_slope, integral,
-                                  max_slope / n, integral / n))
-    return PhiReport(n=n, segments=tuple(records))
 
 
 @dataclass(frozen=True, eq=False)

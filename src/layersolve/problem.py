@@ -36,6 +36,9 @@ __all__ = [
 # Corner compatibility is required at desk precision.
 CORNER_TOL = 1e-12
 
+# Points per axis of the grid on which the hypotheses, rho and sup|f| are sampled.
+_SAMPLE_DENSITY = 101
+
 SpaceTimeFn = Callable[..., "np.ndarray | float"]
 TimeFn = Callable[[float], float]
 SpaceFn = Callable[..., "np.ndarray | float"]
@@ -68,16 +71,6 @@ class PiecewiseField:
     def jump(self, t: float) -> float:
         """One-sided jump right(d,t) - left(d,t)."""
         return float(self.right(self.d, t)) - float(self.left(self.d, t))
-
-    def eval(self, x, t):
-        """Branch-dispatched evaluation; x = d resolves to the right branch.
-
-        Use ``left``/``right`` directly when the one-sided value matters.
-        """
-        x = np.asarray(x, dtype=float)
-        lv = np.asarray(self.left(np.minimum(x, self.d), t), dtype=float)
-        rv = np.asarray(self.right(np.maximum(x, self.d), t), dtype=float)
-        return np.where(x < self.d, lv, rv)
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[CheckResult, ...]
-    sample_density: int
 
     @property
     def passed(self) -> bool:
@@ -178,25 +170,22 @@ def _worst(values: np.ndarray, xs: np.ndarray, ts: np.ndarray, pick_max: bool):
     return float(values[i, j]), float(xs[i]), float(ts[j])
 
 
-def validate(spec: ProblemSpec, sample_density: int = 101,
-             raise_on_failure: bool = True) -> ValidationReport:
+def validate(spec: ProblemSpec) -> ValidationReport:
     """Check the problem hypotheses on a tensor sample grid.
 
-    Per axis the grid has ``sample_density`` points: x in [0,d] and [d,1]
+    Per axis the grid has ``_SAMPLE_DENSITY`` points: x in [0,d] and [d,1]
     (one grid per branch) and t in [0, T].  Checks: a <= -alpha1 on the left
     branch, a >= alpha2 on the right, b >= beta and c >= eta everywhere, and
     corner compatibility q(0) = p(0), q(1) = r(0) to ``CORNER_TOL``.
 
-    Returns the full report; when ``raise_on_failure`` the first failed check
-    raises its typed error (SignViolation, FloorViolation,
-    CompatibilityViolation) with the report attached as ``.report``.
+    Returns the report when every check passes.  Otherwise the first failed
+    check raises its typed error (SignViolation, FloorViolation,
+    CompatibilityViolation) with the full report attached as ``.report``.
     """
-    if sample_density < 2:
-        raise ValueError("sample_density must be at least 2")
-    xs_l = np.linspace(0.0, spec.d, sample_density)
-    xs_r = np.linspace(spec.d, 1.0, sample_density)
+    xs_l = np.linspace(0.0, spec.d, _SAMPLE_DENSITY)
+    xs_r = np.linspace(spec.d, 1.0, _SAMPLE_DENSITY)
     xs_all = np.concatenate([xs_l, xs_r])
-    ts = np.linspace(0.0, spec.t_final, sample_density)
+    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
 
     checks: list[CheckResult] = []
     errors: list[Exception] = []
@@ -239,26 +228,24 @@ def validate(spec: ProblemSpec, sample_density: int = 101,
             errors.append(CompatibilityViolation(
                 f"{name}: |q({corner_x:g}) - boundary(0)| = {gap:.3e} exceeds {CORNER_TOL}"))
 
-    report = ValidationReport(tuple(checks), sample_density)
-    if errors and raise_on_failure:
+    report = ValidationReport(tuple(checks))
+    if errors:
         err = errors[0]
         err.report = report
         raise err
     return report
 
 
-def derive_regime(spec: ProblemSpec, sample_density: int = 101) -> RegimeConstants:
+def derive_regime(spec: ProblemSpec) -> RegimeConstants:
     """Compute rho = min |b|/|a| over the sample grid, alpha, and the case.
 
     The classification predicate sqrt(alpha)*mu <= sqrt(rho*eps) is evaluated
     in its squared form alpha*mu^2 <= rho*eps, which is exact on the boundary
     and scale-consistent (multiplying eps by 4 and mu by 2 changes nothing).
     """
-    if sample_density < 2:
-        raise ValueError("sample_density must be at least 2")
-    xs_l = np.linspace(0.0, spec.d, sample_density)
-    xs_r = np.linspace(spec.d, 1.0, sample_density)
-    ts = np.linspace(0.0, spec.t_final, sample_density)
+    xs_l = np.linspace(0.0, spec.d, _SAMPLE_DENSITY)
+    xs_r = np.linspace(spec.d, 1.0, _SAMPLE_DENSITY)
+    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
 
     ratios = []
     for xs, a_fn in ((xs_l, spec.a.left), (xs_r, spec.a.right)):

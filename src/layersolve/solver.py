@@ -19,8 +19,8 @@ from .discretization import (TridiagonalSystem, build_operator, m_matrix_check,
                              sample_coefficients, step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
-from .mesh import LayerParams, SpatialMesh, TimeGrid
-from .problem import ProblemSpec, _sample
+from .mesh import SpatialMesh, TimeGrid
+from .problem import _SAMPLE_DENSITY, ProblemSpec, _sample
 
 __all__ = [
     "PIVOT_FLOOR",
@@ -34,8 +34,6 @@ __all__ = [
     "march",
     "AuditReport",
     "stability_audit",
-    "EnvelopeReport",
-    "layer_envelope_diagnostic",
 ]
 
 PIVOT_FLOOR = 1e-300
@@ -177,10 +175,10 @@ def _eval_on(fn, arg) -> np.ndarray:
 
 
 def _f_sup(spec: ProblemSpec) -> float:
-    ts = np.linspace(0.0, spec.t_final, 101)
+    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
     sup = 0.0
     for lo, hi, fn in ((0.0, spec.d, spec.f.left), (spec.d, 1.0, spec.f.right)):
-        xs = np.linspace(lo, hi, 101)
+        xs = np.linspace(lo, hi, _SAMPLE_DENSITY)
         sup = max(sup, float(np.max(np.abs(_sample(fn, xs, ts)))))
     return sup
 
@@ -312,44 +310,3 @@ def stability_audit(sol: DiscreteSolution, spec: ProblemSpec) -> AuditReport:
     max_abs = float(np.max(np.abs(sol.values)))
     return AuditReport(max_abs=max_abs, data_sup=data_sup, f_sup=f_sup,
                        beta=spec.beta, bound=bound, margin=bound - max_abs)
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Max backward-difference slope of U over the outer (layer-free) region."""
-
-    max_outer_slope: float
-    c_env: float
-    argmax_x: float
-    argmax_t: float
-    layer: LayerParams
-
-    @property
-    def passed(self) -> bool:
-        return self.max_outer_slope <= self.c_env
-
-
-def layer_envelope_diagnostic(sol: DiscreteSolution,
-                              c_env: float = 100.0) -> EnvelopeReport:
-    """Advisory check that steep gradients stay confined to the layer regions.
-
-    Reports max |D- U| over [tau1, d-tau2] u [d+tau3, 1-tau4] (all time
-    levels) and whether it stays below ``c_env``.  The outer region is fixed
-    by the mesh's segment indices; the mesh's layer parameters are echoed in
-    the report for context.
-    """
-    mesh = sol.mesh
-    n = mesh.n
-    h = mesh.h
-    n8, n38, n58, n78 = n // 8, 3 * n // 8, 5 * n // 8, 7 * n // 8
-    best = (0.0, 0, 0)
-    for lo, hi in ((n8 + 1, n38), (n58 + 1, n78)):
-        idx = np.arange(lo, hi + 1)
-        slopes = np.abs((sol.values[:, idx] - sol.values[:, idx - 1]) / h[idx])
-        j, k = np.unravel_index(int(np.argmax(slopes)), slopes.shape)
-        if slopes[j, k] > best[0]:
-            best = (float(slopes[j, k]), int(idx[k]), int(j))
-    return EnvelopeReport(max_outer_slope=best[0], c_env=c_env,
-                          argmax_x=float(mesh.points[best[1]]),
-                          argmax_t=float(sol.grid.times[best[2]]),
-                          layer=mesh.layer)

@@ -83,6 +83,32 @@ class TestConfigValidation:
         assert "\n" not in err.strip()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["dump-mesh", "--plot-data", "--levels", "9"],
+        ["temporal", "--theta-variant", "section2", "--example", "example2"],
+    ])
+    def test_flags_the_command_does_not_read(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "\n" not in err.strip()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mu_list,first,second", [
+        ("1e-4,1.0000001e-4", "0.0001", "0.00010000001"),
+        ("1e-4,1e-4", "0.0001", "0.0001"),
+    ])
+    def test_mu_list_values_sharing_a_report_file(self, capsys, tmp_path,
+                                                  mu_list, first, second):
+        code, _, err = run_cli(CONVERGE_ARGS + ["--mu-list", mu_list,
+                                                "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "\n" not in err.strip()
+        assert f"{first} and {second}" in err
+        assert "report_eps1e-05_mu0.0001.csv" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_computation_error_is_exit_one(self, capsys, tmp_path):
         # eps=0.5 at N=16 makes the transition widths overlap
         code, _, err = run_cli(["dump-mesh", "--epsilon", "0.5", "--mu", "1e-4",
@@ -134,11 +160,12 @@ class TestOutputBytes:
     """Byte-exact outputs; a writer that drifts by one byte fails here."""
 
     ARGS = ["--example", "example1", "--epsilon", "1e-5", "--mu", "1e-4",
-            "--N", "16", "--M", "4"]
+            "--N", "16"]
     # sha256 of the text the per-node f-string writers produced
     SHA256 = {
-        ("solve",): "fa0ae9e012a2146f4cf4ea041442ef80a0c7f28f2a9109673ee22acec1333bcd",
-        ("solve", "--plot-data"):
+        ("solve", "--M", "4"):
+            "fa0ae9e012a2146f4cf4ea041442ef80a0c7f28f2a9109673ee22acec1333bcd",
+        ("solve", "--M", "4", "--plot-data"):
             "458571ba2302c0baf238c0e7b8916f2052d5e0833ad446a797c5b20136cc55aa",
         ("dump-mesh",): "1f083bd10e8beaf8a8e316d6217f06dafbd7bb85dd98694f3c9bec77830d0f09",
     }

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
-                        ProblemSpec, TridiagonalSystem, assemble,
-                        discontinuity_row, interior_row, lookup,
-                        m_matrix_check, spatial_mesh_for, derive_regime,
-                        thomas_solve)
+                        ProblemSpec, StencilWeights, TridiagonalSystem,
+                        assemble, discontinuity_row, lookup, m_matrix_check,
+                        spatial_mesh_for, derive_regime, thomas_solve)
 from layersolve.mesh import SpatialMesh
 
 # Interior-row fixtures: uniform 9-point mesh (h = 1/8, d = 0.5 at index 4),
@@ -38,6 +37,12 @@ def plain_spec(a_left, a_right, f_left, f_right, b, c, p, r, q,
         b=b, c=c, p=p, r=r, q=q, d=d, t_final=1.0,
         params=PerturbationParams(epsilon, mu),
         alpha1=1.0, alpha2=1.0, beta=1.0, eta=1.0)
+
+
+def assembled_row(spec, mesh, i, t_mid, dt, u_prev):
+    """Row i of the assembled step around t_mid, un-negated to operator form."""
+    sys = assemble(spec, mesh, t_mid + dt / 2, dt, u_prev)
+    return StencilWeights(-sys.sub[i], -sys.diag[i], -sys.sup[i], -sys.rhs[i])
 
 
 def oracle_assemble(spec, mesh, t_next, dt, u_prev):
@@ -110,7 +115,7 @@ class TestInteriorRow:
                           p=lambda t: 0.0, r=lambda t: 0.0,
                           q=lambda x: 0.0 * x, epsilon=eps, mu=1.0)
         mesh = nine_point_mesh()
-        row = interior_row(spec, mesh, 2, 0.01, dt, U_PREV_9)
+        row = assembled_row(spec, mesh, 2, 0.01, dt, U_PREV_9)
         assert row.w_minus == pytest.approx(eps / h ** 2, rel=1e-15)
         assert row.w_plus == pytest.approx(eps / h ** 2, rel=1e-15)
         assert row.w_center == pytest.approx(-2 * eps / h ** 2 - 2.0 / dt,
@@ -121,24 +126,17 @@ class TestInteriorRow:
 
     def test_frozen_left_branch_row(self):
         spec = lookup("example1", 1e-8, 1e-6)
-        row = interior_row(spec, nine_point_mesh(), 2, 0.4921875, 1.0 / 64,
+        row = assembled_row(spec, nine_point_mesh(), 2, 0.4921875, 1.0 / 64,
                            U_PREV_9)
         for key, val in ROW_I2.items():
             assert getattr(row, key) == pytest.approx(val, rel=1e-13)
 
     def test_frozen_right_branch_row(self):
         spec = lookup("example1", 1e-8, 1e-6)
-        row = interior_row(spec, nine_point_mesh(), 6, 0.4921875, 1.0 / 64,
+        row = assembled_row(spec, nine_point_mesh(), 6, 0.4921875, 1.0 / 64,
                            U_PREV_9)
         for key, val in ROW_I6.items():
             assert getattr(row, key) == pytest.approx(val, rel=1e-13)
-
-    def test_rejects_non_interior_indices(self):
-        spec = lookup("example1", 1e-8, 1e-6)
-        mesh = nine_point_mesh()
-        for i in (0, 4, 8):
-            with pytest.raises(ValueError):
-                interior_row(spec, mesh, i, 0.5, 0.1, U_PREV_9)
 
     def test_upwind_side_carries_no_convection(self):
         # left of d the weight on U_{i+1} is pure diffusion; right of d the
@@ -148,12 +146,12 @@ class TestInteriorRow:
         u_prev = np.sin(np.linspace(0.0, 3.0, 65))
         eps = spec.params.epsilon
         for i in (1, 17, 31):
-            row = interior_row(spec, mesh, i, 0.3, 0.01, u_prev)
+            row = assembled_row(spec, mesh, i, 0.3, 0.01, u_prev)
             hi, hi1 = mesh.h[i], mesh.h[i + 1]
             assert row.w_plus == pytest.approx(2 * eps / (hi1 * (hi + hi1)),
                                                rel=1e-15)
         for i in (33, 47, 63):
-            row = interior_row(spec, mesh, i, 0.3, 0.01, u_prev)
+            row = assembled_row(spec, mesh, i, 0.3, 0.01, u_prev)
             hi, hi1 = mesh.h[i], mesh.h[i + 1]
             assert row.w_minus == pytest.approx(2 * eps / (hi * (hi + hi1)),
                                                 rel=1e-15)
@@ -168,7 +166,7 @@ class TestInteriorRow:
         dt = 0.1
         t_mid = 0.25
         for i in (5, 40, 100, 131, 200, 250):
-            row = interior_row(spec, mesh, i, t_mid, dt, u)
+            row = assembled_row(spec, mesh, i, t_mid, dt, u)
             applied = (row.w_minus * u[i - 1] + row.w_center * u[i]
                        + row.w_plus * u[i + 1])
             xi = mesh.points[i]
@@ -223,30 +221,12 @@ class TestDiscontinuityRow:
 
 
 class TestAssemble:
-    def test_matches_interior_row_and_transmission(self):
-        spec = lookup("example1", 1e-8, 1e-6)
-        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
-        rng = np.random.default_rng(7)
-        u_prev = rng.normal(size=65)
-        t_next, dt = 0.25, 1.0 / 64
-        sys = assemble(spec, mesh, t_next, dt, u_prev)
-        for i in (1, 7, 8, 20, 31, 33, 40, 57, 63):
-            row = interior_row(spec, mesh, i, t_next - dt / 2, dt, u_prev)
-            assert sys.sub[i] == pytest.approx(-row.w_minus, rel=1e-14)
-            assert sys.diag[i] == pytest.approx(-row.w_center, rel=1e-14)
-            assert sys.sup[i] == pytest.approx(-row.w_plus, rel=1e-14)
-            assert sys.rhs[i] == pytest.approx(-row.forcing, rel=1e-13)
-        row = discontinuity_row(mesh)
-        assert sys.sub[32] == row.w_minus
-        assert sys.diag[32] == row.w_center
-        assert sys.sup[32] == row.w_plus
-        assert sys.rhs[32] == 0.0
-
     def test_matches_independent_oracle(self):
         spec = lookup("example1", 1e-8, 1e-6)
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
         for u_prev, t_next in ((np.zeros(65), 1.0 / 64),
-                               (np.sin(3.0 * mesh.points), 0.5)):
+                               (np.sin(3.0 * mesh.points), 0.5),
+                               (np.random.default_rng(7).normal(size=65), 0.25)):
             sys = assemble(spec, mesh, t_next, 1.0 / 64, u_prev)
             sub, diag, sup, rhs = oracle_assemble(spec, mesh, t_next, 1.0 / 64,
                                                   u_prev)

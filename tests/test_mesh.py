@@ -1,4 +1,4 @@
-"""Mesh construction: landmarks, grading, bisection nesting, diagnostics."""
+"""Mesh construction: landmarks, grading, bisection nesting."""
 
 import math
 
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from layersolve import (LayerParams, LayersOverlap, PerturbationParams,
                         RegimeCase, RegimeConstants, ThetaVariant,
                         UnsupportedRegime, bisect, build_mesh, layer_params,
-                        phi_diagnostics, transition_points, uniform_mesh,
-                        uniform_time_grid)
+                        transition_points, uniform_mesh, uniform_time_grid)
 from layersolve.mesh import SpatialMesh
 
 # Mesh points for N=64, theta1=theta2=5000, d=0.5, evaluated independently
@@ -35,12 +34,6 @@ MESH_POINTS_N64_TH5000 = (
     0.999079417368154301, 0.999363707251734225, 0.999605023875309559, 0.999814669095159805,
     1.0,
 )
-
-# phi-diagnostic ratios at N=256, identical across the four layer segments;
-# computed from the closed-form generating functions alone (theta cancels)
-PHI_RATIO_N256 = dict(max_slope_ratio=0.3844116989103319,
-                      integral_ratio=0.43674615986105364)
-
 
 def case1_regime(rho=1.0, alpha=1.0):
     return RegimeConstants(rho=rho, alpha=alpha, case=RegimeCase.CASE_I)
@@ -229,31 +222,6 @@ class TestBisect:
         fine = bisect(mesh)
         assert np.array_equal(fine.points[::2], mesh.points)
         assert np.all(np.diff(fine.points) > 0.0)
-
-
-class TestPhiDiagnostics:
-    def test_bound_holds_at_n64(self):
-        report = phi_diagnostics(graded(5000.0, 64))
-        assert report.passed
-        for seg in report.segments:
-            assert seg.max_slope_ratio <= 64.0
-            assert seg.integral_ratio <= 64.0
-
-    def test_specialized_bound_at_n4096(self):
-        # 64/sqrt(4096) = 1, so normalized ratios must drop below 1
-        report = phi_diagnostics(graded(1e4, 4096))
-        for seg in report.segments:
-            assert seg.max_slope_ratio <= 1.0
-            assert seg.integral_ratio <= 1.0
-
-    def test_frozen_ratios_at_n256(self):
-        # theta cancels in the generating functions, so any valid theta works
-        report = phi_diagnostics(graded(6918.366643156417, 256))
-        for seg in report.segments:
-            assert seg.max_slope_ratio == pytest.approx(
-                PHI_RATIO_N256["max_slope_ratio"], rel=1e-12)
-            assert seg.integral_ratio == pytest.approx(
-                PHI_RATIO_N256["integral_ratio"], rel=1e-12)
 
 
 class TestTimeGrid:

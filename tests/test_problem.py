@@ -52,12 +52,6 @@ class TestPiecewiseField:
         assert field.jump(0.0) == 2.0
         assert field.jump(1.5) == 3.5
 
-    def test_eval_dispatches_by_branch(self):
-        field = PiecewiseField(left=lambda x, t: -1.0 + 0.0 * x,
-                               right=lambda x, t: 1.0 + 0.0 * x, d=0.25)
-        xs = np.array([0.0, 0.2, 0.3, 1.0])
-        assert np.array_equal(field.eval(xs, 0.0), [-1.0, -1.0, 1.0, 1.0])
-
     def test_d_must_be_interior(self):
         with pytest.raises(ValueError):
             PiecewiseField(left=lambda x, t: x, right=lambda x, t: x, d=1.0)
@@ -106,15 +100,13 @@ class TestValidate:
     def test_report_collects_without_raising(self):
         spec = make_spec(a_left=lambda x, t: 1.0 + 0.0 * x,
                          q=lambda x: 1.0 + 0.0 * x)
-        report = validate(spec, raise_on_failure=False)
+        with pytest.raises(SignViolation) as err:
+            validate(spec)
+        report = err.value.report
         assert not report.passed
         failed = {c.name for c in report.checks if not c.passed}
         assert "a-left-sign" in failed
         assert "corner-left" in failed
-
-    def test_density_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            validate(make_spec(), sample_density=1)
 
     def test_opposite_one_sided_signs_at_d(self):
         spec = lookup("example1", 1e-8, 1e-6)
@@ -175,14 +167,6 @@ class TestDeriveRegime:
     def test_large_mu_is_case_two(self):
         regime = derive_regime(lookup("example1", 1e-8, 1e-2))
         assert regime.case is RegimeCase.CASE_II
-
-    def test_refining_the_grid_never_increases_rho(self):
-        spec = lookup("example1", 1e-8, 1e-6)
-        coarse = derive_regime(spec, sample_density=101).rho
-        fine = derive_regime(spec, sample_density=201).rho
-        finer = derive_regime(spec, sample_density=401).rho
-        assert fine <= coarse
-        assert finer <= fine
 
     @pytest.mark.parametrize("eps,mu", [(1e-8, 1e-6), (1e-12, 1e-8),
                                         (0.25, 0.5), (1e-4, 1e-3)])

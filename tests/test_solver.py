@@ -9,8 +9,7 @@ import pytest
 from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation,
                         NonFiniteValue, PerturbationParams, PiecewiseField,
                         ProblemSpec, TridiagonalSystem, ZeroPivot, assemble,
-                        derive_regime, layer_envelope_diagnostic, lookup,
-                        manufactured_linear, march, residual_max_norm,
+                        derive_regime, lookup, march, residual_max_norm,
                         spatial_mesh_for, stability_audit, thomas_factor,
                         thomas_solve, uniform_mesh, uniform_time_grid)
 
@@ -438,32 +437,3 @@ class TestStabilityAudit:
         base_report = stability_audit(base_mesh_sol, base)
         assert report.f_sup == pytest.approx(scale * base_report.f_sup,
                                              rel=1e-12)
-
-
-class TestLayerEnvelope:
-    def test_zero_solution_has_zero_slope(self):
-        spec = zero_data_spec()
-        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
-        sol = march(spec, mesh, uniform_time_grid(1.0, 8), CheckPolicy())
-        report = layer_envelope_diagnostic(sol, c_env=1e-6)
-        assert report.max_outer_slope == 0.0
-        assert report.passed
-
-    def test_linear_profile_outer_slope_matches(self):
-        man = manufactured_linear()
-        mesh = uniform_mesh(64)
-        sol = march(man.spec, mesh, uniform_time_grid(1.0, 16), CheckPolicy())
-        report = layer_envelope_diagnostic(sol, c_env=2.0)
-        # initial data 1 + x has slope exactly 1; later levels decay
-        assert report.max_outer_slope == pytest.approx(1.0, abs=1e-12)
-        assert report.passed
-
-    def test_example1_within_calibrated_envelope(self):
-        # threshold frozen after calibrating against the N=512 run
-        # (max outer slope there is ~0.40)
-        spec = lookup("example1", 1e-8, 1e-6)
-        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 128, 0.5)
-        sol = march(spec, mesh, uniform_time_grid(1.0, 128), CheckPolicy())
-        report = layer_envelope_diagnostic(sol, c_env=100.0)
-        assert report.passed
-        assert report.max_outer_slope < 1.0
