@@ -26,8 +26,8 @@ from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       derive_regime, validate)
 from .registry import (ManufacturedProblem, lookup, manufactured_linear,
                        manufactured_sine, manufactured_steady)
-from .solver import (AuditReport, CheckPolicy, DiscreteSolution, march,
-                     ThomasFactors, residual_max_norm, stability_audit,
+from .solver import (KERNEL, AuditReport, CheckPolicy, DiscreteSolution,
+                     ThomasFactors, march, residual_max_norm, stability_audit,
                      thomas_factor, thomas_solve)
 
 __version__ = "0.1.0"

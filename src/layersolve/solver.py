@@ -6,12 +6,23 @@ stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
 remedy.  While a march's matrix repeats, its elimination is kept
 (:class:`ThomasFactors`) and only the forward and back sweeps run again.
+
+The sweeps run in C (``_thomas.c``, compiled with the system ``cc`` on first
+import and cached in ``__pycache__``) or, when that cannot be built, in the
+Python loops below; both give bitwise the same doubles.  ``KERNEL`` says
+which one was loaded: ``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import tempfile
 import warnings
+import zlib
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +34,7 @@ from .mesh import SpatialMesh, TimeGrid
 from .problem import _SAMPLE_DENSITY, ProblemSpec, _sample
 
 __all__ = [
+    "KERNEL",
     "PIVOT_FLOOR",
     "RESIDUAL_RTOL",
     "CheckPolicy",
@@ -86,13 +98,18 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     Raises ZeroPivot (with the row index) when an eliminated pivot has
     magnitude below PIVOT_FLOOR.  Boundary identity rows come back bit-exact.
     """
-    return _back_substitute(*_eliminate(sys))
+    return _eliminate(sys)[0]
 
 
-def _eliminate(sys: TridiagonalSystem) -> tuple[list[float], list[float]]:
-    """Forward elimination: the multipliers c and the swept right-hand side."""
+def _eliminate(sys: TridiagonalSystem):
+    """The loaded kernel's fused solve: (x, (sub, pivots, multipliers))."""
     if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
+    return _KERNEL.solve(sys)
+
+
+def _solve_py(sys: TridiagonalSystem):
+    """Forward elimination and back sweep in Python floats."""
     sub = sys.sub.tolist()
     diag = sys.diag.tolist()
     sup = sys.sup.tolist()
@@ -103,17 +120,31 @@ def _eliminate(sys: TridiagonalSystem) -> tuple[list[float], list[float]]:
         raise ZeroPivot(0)
     ci = sup[0] / piv
     xi = rhs[0] / piv
+    pivots = [piv]
     c = [ci]
-    x = [xi]
+    y = [xi]
     for s, d, u, r in zip(sub[1:], diag[1:], sup[1:], rhs[1:]):
         piv = d - s * ci
         if abs(piv) < PIVOT_FLOOR:
             raise ZeroPivot(len(c))
         ci = u / piv
         xi = (r - s * xi) / piv
+        pivots.append(piv)
         c.append(ci)
-        x.append(xi)
-    return c, x
+        y.append(xi)
+    return _back_substitute(c, y), (sub, pivots, c)
+
+
+def _resolve_py(sub: list[float], piv: list[float], c: list[float],
+                rhs: np.ndarray) -> np.ndarray:
+    """The forward and back sweeps of :func:`_solve_py` for a new rhs."""
+    r = rhs.tolist()
+    xi = r[0] / piv[0]
+    y = [xi]
+    for s, p, ri in zip(sub[1:], piv[1:], r[1:]):
+        xi = (ri - s * xi) / p
+        y.append(xi)
+    return _back_substitute(c, y)
 
 
 def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
@@ -132,36 +163,121 @@ class ThomasFactors:
 
     ``solve`` repeats :func:`thomas_solve`'s forward and back sweeps for a
     new right-hand side with the same operations in the same order, so its
-    result is bitwise equal to ``thomas_solve`` on the same system.
+    result is bitwise equal to ``thomas_solve`` on the same system.  The
+    fields are in the format of the kernel that factored them.
     """
 
-    sub: list[float]
-    piv: list[float]
-    c: list[float]
+    sub: Sequence[float]
+    piv: Sequence[float]
+    c: Sequence[float]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        r = rhs.tolist()
-        if len(r) != len(self.piv):
-            raise ValueError(f"rhs must have {len(self.piv)} entries, got {len(r)}")
-        xi = r[0] / self.piv[0]
-        y = [xi]
-        for s, p, ri in zip(self.sub[1:], self.piv[1:], r[1:]):
-            xi = (ri - s * xi) / p
-            y.append(xi)
-        return _back_substitute(self.c, y)
+        if np.shape(rhs) != (len(self.piv),):
+            raise ValueError(f"rhs must have {len(self.piv)} entries, "
+                             f"got shape {np.shape(rhs)}")
+        return _KERNEL.resolve(self.sub, self.piv, self.c, rhs)
 
 
 def thomas_factor(sys: TridiagonalSystem) -> ThomasFactors:
     """Eliminate the matrix of ``sys`` once; its right-hand side is ignored.
 
     Raises ZeroPivot (with the row index) exactly where :func:`thomas_solve`
-    would on the same matrix.  The pivots diag - sub*c are formed
-    elementwise with the same two roundings as the elimination loop.
+    would on the same matrix, since it runs the same elimination.
     """
-    c, _ = _eliminate(sys)
-    piv = sys.diag.copy()
-    piv[1:] -= sys.sub[1:] * np.array(c[:-1])
-    return ThomasFactors(sub=sys.sub.tolist(), piv=piv.tolist(), c=c)
+    return ThomasFactors(*_eliminate(sys)[1])
+
+
+class _Kernel(NamedTuple):
+    """A fused solve, ``solve(sys) -> (x, factors)``, and the re-solve
+    ``resolve(*factors, rhs) -> x`` on the factors it returned."""
+
+    name: str
+    solve: Callable
+    resolve: Callable
+
+
+_PYTHON_KERNEL = _Kernel("python", _solve_py, _resolve_py)
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
+# -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
+# compiled kernel stops being bitwise equal to the Python loops
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
+    """Wrap ``thomas_solve`` and ``thomas_resolve`` of the compiled source."""
+    c_solve, c_resolve = lib.thomas_solve, lib.thomas_resolve
+    c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
+    c_solve.restype = ctypes.c_long
+    c_resolve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
+    c_resolve.restype = None
+
+    def solve(sys):
+        bands = [np.ascontiguousarray(a, dtype=float)
+                 for a in (sys.sub, sys.diag, sys.sup, sys.rhs)]
+        c, piv, x = out = [np.empty(sys.size) for _ in range(3)]
+        row = c_solve(sys.size, *[a.ctypes.data for a in bands + out])
+        if row >= 0:
+            raise ZeroPivot(row)
+        return x, (bands[0], piv, c)
+
+    def resolve(sub, piv, c, rhs):
+        rhs = np.ascontiguousarray(rhs, dtype=float)
+        x = np.empty(len(piv))
+        c_resolve(len(piv), *[a.ctypes.data for a in (sub, piv, c, rhs, x)])
+        return x
+
+    return _Kernel("c", solve, resolve)
+
+
+def _load_kernel(directory: str) -> _Kernel:
+    """The compiled kernel, built into ``directory`` on first use.
+
+    The library's name carries a CRC of the source and flags, so an edited
+    source is rebuilt.  Falls back to the Python loops when it cannot be
+    built or loaded (no ``cc``, a compile error, an unwritable directory).
+    """
+    try:
+        with open(_SOURCE, "rb") as fh:
+            tag = zlib.crc32(fh.read() + " ".join(_CFLAGS).encode())
+        path = os.path.join(directory, f"_thomas-{tag:08x}.so")
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            _build(path)
+            lib = ctypes.CDLL(path)
+    except OSError:
+        return _PYTHON_KERNEL
+    return _c_kernel(lib)
+
+
+def _build(path: str) -> None:
+    """Compile _SOURCE into ``path``; raise OSError when that fails.
+
+    The library is built under a temporary name and renamed into place, so
+    concurrent first imports are safe and a failed build leaves no file.
+    """
+    import subprocess
+
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_thomas-", suffix=".tmp", dir=directory)
+    os.close(fd)
+    try:
+        proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SOURCE],
+                              stdin=subprocess.DEVNULL, capture_output=True)
+        if proc.returncode != 0:
+            raise OSError(f"cc exited with status {proc.returncode}")
+        os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+_KERNEL = _load_kernel(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
+KERNEL = _KERNEL.name
 
 
 def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
