@@ -171,6 +171,11 @@ class ThomasFactors:
     piv: Sequence[float]
     c: Sequence[float]
 
+    def __post_init__(self):
+        # the compiled re-solve reads len(piv) entries of each
+        if not 3 <= len(self.piv) == len(self.sub) == len(self.c):
+            raise ValueError("sub, piv and c must have one length, at least 3")
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if np.shape(rhs) != (len(self.piv),):
             raise ValueError(f"rhs must have {len(self.piv)} entries, "
@@ -222,9 +227,9 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
         return x, (bands[0], piv, c)
 
     def resolve(sub, piv, c, rhs):
-        rhs = np.ascontiguousarray(rhs, dtype=float)
+        arrays = [np.ascontiguousarray(a, dtype=float) for a in (sub, piv, c, rhs)]
         x = np.empty(len(piv))
-        c_resolve(len(piv), *[a.ctypes.data for a in (sub, piv, c, rhs, x)])
+        c_resolve(len(piv), *[a.ctypes.data for a in arrays + [x]])
         return x
 
     return _Kernel("c", solve, resolve)

@@ -9,9 +9,10 @@ import pytest
 from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation,
                         NonFiniteValue, PerturbationParams, PiecewiseField,
                         ProblemSpec, TridiagonalSystem, ZeroPivot, assemble,
-                        derive_regime, lookup, march, residual_max_norm,
-                        spatial_mesh_for, stability_audit, thomas_factor,
-                        thomas_solve, uniform_mesh, uniform_time_grid)
+                        ThomasFactors, derive_regime, lookup, march,
+                        residual_max_norm, spatial_mesh_for, stability_audit,
+                        thomas_factor, thomas_solve, uniform_mesh,
+                        uniform_time_grid)
 
 
 def random_dominant_system(rng, size):
@@ -158,6 +159,10 @@ class TestThomasSolve:
                                 sup=np.zeros(3), rhs=np.ones(3))
         with pytest.raises(ValueError):
             thomas_factor(sys).solve(np.ones(4))
+        f = thomas_factor(sys)
+        for n_sub, n_rest in ((2, 3), (2, 2)):  # mismatched, too short
+            with pytest.raises(ValueError):
+                ThomasFactors(sub=f.sub[:n_sub], piv=f.piv[:n_rest], c=f.c[:n_rest])
 
     def test_residual_within_tolerance_on_assembled_step(self):
         spec = lookup("example1", 1e-8, 1e-6)
