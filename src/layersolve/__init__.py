@@ -13,11 +13,11 @@ from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
 from .discretization import (MMatrixReport, StencilWeights, TridiagonalSystem,
                              assemble, discontinuity_row, m_matrix_check)
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
-                     LayerSolveError, LayersOverlap, ManufacturedMismatch,
-                     MeshMismatch, MMatrixViolation, NonFiniteValue,
-                     NonMonotone, ResidualViolation, SignViolation,
-                     StabilityViolation, UnknownExample, UnsupportedRegime,
-                     ZeroPivot)
+                     InvalidInput, LayerSolveError, LayersOverlap,
+                     ManufacturedMismatch, MeshMismatch, MMatrixViolation,
+                     NonFiniteValue, NonMonotone, ResidualViolation,
+                     SignViolation, StabilityViolation, UnknownExample,
+                     UnsupportedRegime, ZeroPivot)
 from .mesh import (LayerParams, SpatialMesh, ThetaVariant, TimeGrid, bisect,
                    build_mesh, layer_params, spatial_mesh_for,
                    transition_points, uniform_mesh, uniform_time_grid)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayersOverlap, ManufacturedMismatch, MeshMismatch
+from .errors import (InvalidInput, LayersOverlap, ManufacturedMismatch,
+                     MeshMismatch)
 from .mesh import (SpatialMesh, ThetaVariant, bisect, layer_params,
                    spatial_mesh_for, uniform_mesh, uniform_time_grid)
 from .problem import (ProblemSpec, RegimeConstants, RegimeCase, derive_regime,
@@ -114,7 +115,7 @@ def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
     last have R.  Level l+1 always uses the bisection of level l's mesh.
     """
     if levels < 2:
-        raise ValueError("a study needs at least 2 levels")
+        raise InvalidInput(f"levels={levels}: a study needs at least 2 levels")
     validate(spec)
     regime = derive_regime(spec)
 

@@ -8,16 +8,19 @@ temporal       manufactured-solution temporal-order study, write order CSV
 dump-mesh      write the spatial mesh in the text dump format
 
 Each command declares only the flags it reads; any other flag is a
-configuration error.  ``temporal`` always solves the manufactured sine
-problem at eps = mu = 1.  --checks strict|warn|off selects
-CheckPolicy.strict_policy(), CheckPolicy() and CheckPolicy.off().
+configuration error, and so is ``converge --mu`` beside ``--mu-list``.
+``temporal`` always solves the manufactured sine problem at eps = mu = 1.
+--checks strict|warn|off selects CheckPolicy.strict_policy(), CheckPolicy()
+and CheckPolicy.off().  The ranges of eps, mu, N, M and --levels are the
+library's own checks, which raise InvalidInput.
 
 Outputs are written atomically (temp file + rename), so no reader observes
 a partial file, and a failed write removes its temp file.  The solution CSV
 and the plot data are streamed one time level at a time.  The mu values of a
 sweep run one after another.  All numeric flags accept scientific notation.
-Exit codes: 0 success, 2 configuration error, 1 computation or output error;
-errors print one machine-parsable line to stderr.
+Exit codes: 0 success, 2 configuration error (InvalidInput, including every
+parse failure), 1 computation or output error; errors print one
+machine-parsable line to stderr.
 """
 
 from __future__ import annotations
@@ -27,80 +30,20 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from . import analysis, registry
-from .errors import LayerSolveError, UnknownExample
-from .mesh import ThetaVariant, _check_n, spatial_mesh_for, uniform_time_grid
+from .errors import InvalidInput, LayerSolveError
+from .mesh import ThetaVariant, spatial_mesh_for, uniform_time_grid
 from .problem import derive_regime, validate
 from .solver import CheckPolicy, march
 
-__all__ = ["RunConfig", "run", "main"]
-
-COMMANDS = ("solve", "converge", "temporal", "dump-mesh")
+__all__ = ["build_parser", "run", "main"]
 
 _CHECK_POLICIES = {
     "strict": CheckPolicy.strict_policy(),
     "warn": CheckPolicy(),
     "off": CheckPolicy.off(),
 }
-
-_DEFAULT_OUT = {
-    "solve": "solution.csv",
-    "dump-mesh": "mesh.txt",
-    "converge": ".",
-    "temporal": "temporal.csv",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one CLI invocation."""
-
-    command: str
-    example: str = "example1"
-    epsilon: float = 1e-8
-    mu: float = 1e-6
-    mu_list: tuple[float, ...] = ()
-    n: int = 64
-    m: int | None = None
-    levels: int = 4
-    theta_variant: ThetaVariant = ThetaVariant.SECTION4
-    checks: CheckPolicy = field(default_factory=CheckPolicy)
-    out_path: str = ""
-    plot_data: bool = False
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.example == "custom":
-        raise ConfigError("custom problems are defined in host code via "
-                          "ProblemSpec; the CLI serves the registry only")
-    # lookup raises for an unknown key and for eps or mu outside (0, 1]
-    try:
-        for mu in (cfg.mu, *cfg.mu_list):
-            registry.lookup(cfg.example, cfg.epsilon, mu)
-        _check_n(cfg.n)
-    except (UnknownExample, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    # report_filename keeps 6 significant digits of mu; two values that agree
-    # there would silently overwrite one report with the other
-    seen: dict[str, float] = {}
-    for mu in cfg.mu_list:
-        name = analysis.report_filename(cfg.epsilon, mu)
-        if name in seen:
-            raise ConfigError(f"--mu-list values {seen[name]!r} and {mu!r} "
-                              f"both write {name}")
-        seen[name] = mu
-    if cfg.m is not None and cfg.m < 1:
-        raise ConfigError("M must be positive")
-    if cfg.command == "converge" and cfg.levels < 2:
-        raise ConfigError("levels must be at least 2 for converge")
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -148,84 +91,87 @@ def _mesh_dump(mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_mesh(cfg: RunConfig, spec):
+def _build_mesh(args: argparse.Namespace, spec):
     regime = derive_regime(spec)
-    return spatial_mesh_for(regime, spec.params, cfg.n, spec.d, cfg.theta_variant)
+    return spatial_mesh_for(regime, spec.params, args.n, spec.d, args.theta_variant)
 
 
-def _run_solve(cfg: RunConfig) -> None:
-    spec = registry.lookup(cfg.example, cfg.epsilon, cfg.mu)
+def _run_solve(args: argparse.Namespace) -> None:
+    spec = registry.lookup(args.example, args.epsilon, args.mu)
     validate(spec)
-    mesh = _build_mesh(cfg, spec)
-    grid = uniform_time_grid(spec.t_final, cfg.m if cfg.m is not None else cfg.n)
-    sol = march(spec, mesh, grid, cfg.checks)
-    writer = _plot_data if cfg.plot_data else _solution_csv
-    _atomic_write(cfg.out_path, writer(sol))
+    mesh = _build_mesh(args, spec)
+    grid = uniform_time_grid(spec.t_final, args.m if args.m is not None else args.n)
+    sol = march(spec, mesh, grid, args.checks)
+    writer = _plot_data if args.plot_data else _solution_csv
+    _atomic_write(args.out_path, writer(sol))
 
 
-def _run_dump_mesh(cfg: RunConfig) -> None:
-    spec = registry.lookup(cfg.example, cfg.epsilon, cfg.mu)
+def _run_dump_mesh(args: argparse.Namespace) -> None:
+    spec = registry.lookup(args.example, args.epsilon, args.mu)
     validate(spec)
-    _atomic_write(cfg.out_path, [_mesh_dump(_build_mesh(cfg, spec))])
+    _atomic_write(args.out_path, [_mesh_dump(_build_mesh(args, spec))])
 
 
-def _converge_one(cfg: RunConfig, mu: float) -> "analysis.ConvergenceReport":
-    spec = registry.lookup(cfg.example, cfg.epsilon, mu)
-    base_m = cfg.m if cfg.m is not None else cfg.n
-    return analysis.convergence_study(spec, cfg.n, base_m, cfg.levels,
-                                      variant=cfg.theta_variant, checks=cfg.checks)
-
-
-def _run_converge(cfg: RunConfig) -> None:
-    mus = cfg.mu_list if cfg.mu_list else (cfg.mu,)
-    reports = [_converge_one(cfg, mu) for mu in mus]
-    os.makedirs(cfg.out_path, exist_ok=True)
+def _run_converge(args: argparse.Namespace) -> None:
+    mus = args.mu_list or (args.mu,)
+    specs = [registry.lookup(args.example, args.epsilon, mu) for mu in mus]
+    # report_filename keeps 6 significant digits of mu; two values that agree
+    # there would silently overwrite one report with the other
+    seen: dict[str, float] = {}
+    for mu in mus:
+        name = analysis.report_filename(args.epsilon, mu)
+        if name in seen:
+            raise InvalidInput(f"--mu-list values {seen[name]!r} and {mu!r} "
+                               f"both write {name}")
+        seen[name] = mu
+    base_m = args.m if args.m is not None else args.n
+    reports = [analysis.convergence_study(spec, args.n, base_m, args.levels,
+                                          variant=args.theta_variant, checks=args.checks)
+               for spec in specs]
+    os.makedirs(args.out_path, exist_ok=True)
     for rep in reports:
-        path = os.path.join(cfg.out_path, analysis.report_filename(rep.epsilon, rep.mu))
+        path = os.path.join(args.out_path, analysis.report_filename(rep.epsilon, rep.mu))
         _atomic_write(path, [analysis.render_report_csv(rep)])
     sys.stdout.write(analysis.render_text_table(reports))
 
 
-def _run_temporal(cfg: RunConfig) -> None:
+def _run_temporal(args: argparse.Namespace) -> None:
+    m_top = 32 if args.m is None else args.m
+    if m_top < 1:
+        raise InvalidInput(f"--M={m_top}: the largest M must be at least 1")
     man = registry.manufactured_sine()
-    m_top = cfg.m if cfg.m is not None else 32
     m_list = []
     m = 4
     while m <= max(4, m_top):
         m_list.append(m)
         m *= 2
-    report = analysis.temporal_order_study(man, cfg.n, tuple(m_list), cfg.checks)
-    _atomic_write(cfg.out_path, [analysis.render_temporal_csv(report)])
+    report = analysis.temporal_order_study(man, args.n, tuple(m_list), args.checks)
+    _atomic_write(args.out_path, [analysis.render_temporal_csv(report)])
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "dump-mesh": _run_dump_mesh,
-    "converge": _run_converge,
-    "temporal": _run_temporal,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit status."""
-    try:
-        _validate_config(cfg)
-    except ConfigError as exc:
+def _exit_status(exc: Exception) -> int:
+    """Write exc as one stderr line; 2 for bad input, 1 for anything else."""
+    if isinstance(exc, InvalidInput):
         sys.stderr.write(f"error: config: {exc}\n")
         return 2
+    sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+    return 1
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one namespace from build_parser(); returns the process exit status."""
     try:
-        _RUNNERS[cfg.command](cfg)
+        args.runner(args)
     except (LayerSolveError, OSError) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
+        return _exit_status(exc)
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Turns every parse failure into a ConfigError instead of a usage block."""
+    """Turns every parse failure into InvalidInput instead of a usage block."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise InvalidInput(message)
 
 
 def _mu_list(text: str) -> tuple[float, ...]:
@@ -233,6 +179,13 @@ def _mu_list(text: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_policy(text: str) -> CheckPolicy:
+    try:
+        return _CHECK_POLICIES[text]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"invalid choice {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,22 +198,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="registry key (example1, example2)")
     problem.add_argument("--epsilon", type=float, default=1e-8,
                          help="diffusion parameter (scientific notation ok)")
-    problem.add_argument("--mu", type=float, default=1e-6,
-                         help="convection parameter")
-    problem.add_argument("--theta-variant", default="section4",
-                         choices=[v.value for v in ThetaVariant])
+    problem.add_argument("--theta-variant", type=ThetaVariant, default="section4",
+                         metavar="{" + ",".join(v.value for v in ThetaVariant) + "}")
     steps = _Parser(add_help=False)
     steps.add_argument("--M", dest="m", type=int, default=None,
-                       help="time steps (defaults to N; for temporal: largest M)")
-    steps.add_argument("--checks", default="warn", choices=sorted(_CHECK_POLICIES))
+                       help="time steps (defaults to N; for temporal: largest M, "
+                            "default 32)")
+    steps.add_argument("--checks", type=_check_policy, default="warn",
+                       metavar="{" + ",".join(_CHECK_POLICIES) + "}")
 
     parser = _Parser(
         prog="layersolve",
         description="Layer-adapted Crank-Nicolson/upwind solver for "
                     "two-parameter singularly perturbed parabolic problems "
                     "with an interior discontinuity.")
-    commands = parser.add_subparsers(dest="command", required=True,
-                                     metavar="command")
+    commands = parser.add_subparsers(required=True, metavar="command")
     solve = commands.add_parser(
         "solve", parents=[problem, steps],
         help="march one problem and write the solution CSV (or plot data)")
@@ -269,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     converge = commands.add_parser(
         "converge", parents=[problem, steps],
         help="run the double-mesh study, write report CSV(s), print the table")
-    converge.add_argument("--mu-list", type=_mu_list, default=(),
-                          help="comma-separated mu values for a sweep")
     converge.add_argument("--levels", type=int, default=4,
                           help="refinement levels")
     commands.add_parser(
@@ -279,31 +229,33 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "dump-mesh", parents=[problem],
         help="write the spatial mesh in the text dump format")
+    # command -> (runner, default --out)
+    bound = {"solve": (_run_solve, "solution.csv"),
+             "converge": (_run_converge, "."),
+             "temporal": (_run_temporal, "temporal.csv"),
+             "dump-mesh": (_run_dump_mesh, "mesh.txt")}
     for name, sub in commands.choices.items():
-        sub.add_argument("--out", dest="out_path", metavar="OUT",
-                         default=_DEFAULT_OUT[name],
+        runner, out = bound[name]
+        sub.set_defaults(runner=runner)
+        sub.add_argument("--out", dest="out_path", metavar="OUT", default=out,
                          help="output directory" if name == "converge"
                          else "output file")
+        if name != "temporal":
+            mu = sub.add_mutually_exclusive_group()
+            mu.add_argument("--mu", type=float, default=1e-6,
+                            help="convection parameter")
+            if name == "converge":
+                mu.add_argument("--mu-list", type=_mu_list, default=(),
+                                help="comma-separated mu values for a sweep")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from parsed flags; flags a command lacks keep their defaults."""
-    fields = dict(vars(args))
-    if "checks" in fields:
-        fields["checks"] = _CHECK_POLICIES[fields["checks"]]
-    if "theta_variant" in fields:
-        fields["theta_variant"] = ThetaVariant(fields["theta_variant"])
-    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = config_from_args(build_parser().parse_args(argv))
-    except ConfigError as exc:
-        sys.stderr.write(f"error: config: {exc}\n")
-        return 2
-    return run(cfg)
+        args = build_parser().parse_args(argv)
+    except InvalidInput as exc:
+        return _exit_status(exc)
+    return run(args)
 
 
 if __name__ == "__main__":

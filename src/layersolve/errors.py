@@ -9,6 +9,10 @@ class LayerSolveError(Exception):
     """Base class for all layersolve errors."""
 
 
+class InvalidInput(LayerSolveError, ValueError):
+    """An argument outside its documented range: eps, mu, N, M, levels, a key."""
+
+
 # -- problem hypotheses -------------------------------------------------------
 
 class SignViolation(LayerSolveError):
@@ -75,7 +79,7 @@ class ManufacturedMismatch(LayerSolveError):
 
 # -- registry -----------------------------------------------------------------
 
-class UnknownExample(LayerSolveError):
+class UnknownExample(InvalidInput):
     """Requested problem key is not in the registry."""
 
 

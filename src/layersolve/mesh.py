@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayersOverlap, NonMonotone, UnsupportedRegime
+from .errors import InvalidInput, LayersOverlap, NonMonotone, UnsupportedRegime
 from .problem import PerturbationParams, RegimeCase, RegimeConstants
 
 __all__ = [
@@ -94,7 +94,7 @@ def layer_params(regime: RegimeConstants, params: PerturbationParams,
 
 def _check_n(n: int) -> None:
     if n < 16 or n % 8 != 0:
-        raise ValueError(f"N={n} must be >= 16 and divisible by 8")
+        raise InvalidInput(f"N={n} must be >= 16 and divisible by 8")
 
 
 def transition_points(layer: LayerParams, n: int, d: float
@@ -264,7 +264,7 @@ class TimeGrid:
 
 def uniform_time_grid(t_final: float, m: int) -> TimeGrid:
     if m < 1:
-        raise ValueError("number of time steps must be positive")
+        raise InvalidInput(f"M={m} time steps must be at least 1")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     dt = t_final / m

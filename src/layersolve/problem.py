@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CompatibilityViolation, FloorViolation, SignViolation
+from .errors import (CompatibilityViolation, FloorViolation, InvalidInput,
+                     SignViolation)
 
 __all__ = [
     "CORNER_TOL",
@@ -48,6 +49,13 @@ def _sample(fn: SpaceTimeFn, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Evaluate fn on the tensor grid xs x ts, tolerating scalar-returning fns."""
     vals = np.asarray(fn(xs[:, None], ts[None, :]), dtype=float)
     return np.broadcast_to(vals, (xs.size, ts.size))
+
+
+def _sample_grids(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x on [0,d] (left branch), x on [d,1] (right branch) and t on [0,T]."""
+    return (np.linspace(0.0, spec.d, _SAMPLE_DENSITY),
+            np.linspace(spec.d, 1.0, _SAMPLE_DENSITY),
+            np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY))
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,9 @@ class PerturbationParams:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon={self.epsilon} must be in (0, 1]")
+            raise InvalidInput(f"epsilon={self.epsilon} must be in (0, 1]")
         if not 0.0 < self.mu <= 1.0:
-            raise ValueError(f"mu={self.mu} must be in (0, 1]")
+            raise InvalidInput(f"mu={self.mu} must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -182,10 +190,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     check raises its typed error (SignViolation, FloorViolation,
     CompatibilityViolation) with the full report attached as ``.report``.
     """
-    xs_l = np.linspace(0.0, spec.d, _SAMPLE_DENSITY)
-    xs_r = np.linspace(spec.d, 1.0, _SAMPLE_DENSITY)
+    xs_l, xs_r, ts = _sample_grids(spec)
     xs_all = np.concatenate([xs_l, xs_r])
-    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
 
     checks: list[CheckResult] = []
     errors: list[Exception] = []
@@ -243,10 +249,7 @@ def derive_regime(spec: ProblemSpec) -> RegimeConstants:
     in its squared form alpha*mu^2 <= rho*eps, which is exact on the boundary
     and scale-consistent (multiplying eps by 4 and mu by 2 changes nothing).
     """
-    xs_l = np.linspace(0.0, spec.d, _SAMPLE_DENSITY)
-    xs_r = np.linspace(spec.d, 1.0, _SAMPLE_DENSITY)
-    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
-
+    xs_l, xs_r, ts = _sample_grids(spec)
     ratios = []
     for xs, a_fn in ((xs_l, spec.a.left), (xs_r, spec.a.right)):
         a_vals = np.abs(_sample(a_fn, xs, ts))

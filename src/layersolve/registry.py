@@ -86,7 +86,8 @@ def lookup(key: str, epsilon: float, mu: float) -> ProblemSpec:
         factory = _REGISTRY[key]
     except KeyError:
         raise UnknownExample(
-            f"unknown example {key!r}; available: {', '.join(REGISTRY_KEYS)}") from None
+            f"unknown example {key!r}; available: {', '.join(REGISTRY_KEYS)}; custom "
+            f"problems are built in host code as a ProblemSpec") from None
     return factory(epsilon, mu)
 
 

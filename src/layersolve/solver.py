@@ -31,7 +31,7 @@ from .discretization import (TridiagonalSystem, build_operator, m_matrix_check,
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
-from .problem import _SAMPLE_DENSITY, ProblemSpec, _sample
+from .problem import ProblemSpec, _sample, _sample_grids
 
 __all__ = [
     "KERNEL",
@@ -296,10 +296,9 @@ def _eval_on(fn, arg) -> np.ndarray:
 
 
 def _f_sup(spec: ProblemSpec) -> float:
-    ts = np.linspace(0.0, spec.t_final, _SAMPLE_DENSITY)
+    xs_l, xs_r, ts = _sample_grids(spec)
     sup = 0.0
-    for lo, hi, fn in ((0.0, spec.d, spec.f.left), (spec.d, 1.0, spec.f.right)):
-        xs = np.linspace(lo, hi, _SAMPLE_DENSITY)
+    for xs, fn in ((xs_l, spec.f.left), (xs_r, spec.f.right)):
         sup = max(sup, float(np.max(np.abs(_sample(fn, xs, ts)))))
     return sup
 

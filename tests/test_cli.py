@@ -21,6 +21,8 @@ def run_cli(argv, capsys):
 # quick converge settings: layers fit at N=16 for eps=1e-5
 CONVERGE_ARGS = ["converge", "--example", "example1", "--epsilon", "1e-5",
                  "--mu", "1e-4", "--N", "16", "--levels", "2"]
+# the same settings for --mu-list runs, which exclude --mu
+SWEEP_ARGS = [arg for arg in CONVERGE_ARGS if arg not in ("--mu", "1e-4")]
 
 
 class TestConfigValidation:
@@ -66,7 +68,7 @@ class TestConfigValidation:
         assert list(tmp_path.iterdir()) == []
 
     def test_mu_list_range_names_the_value(self, capsys, tmp_path):
-        code, _, err = run_cli(CONVERGE_ARGS + ["--mu-list", "1e-4,2.0",
+        code, _, err = run_cli(SWEEP_ARGS + ["--mu-list", "1e-4,2.0",
                                                 "--out", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error: config:")
@@ -100,13 +102,33 @@ class TestConfigValidation:
     ])
     def test_mu_list_values_sharing_a_report_file(self, capsys, tmp_path,
                                                   mu_list, first, second):
-        code, _, err = run_cli(CONVERGE_ARGS + ["--mu-list", mu_list,
+        code, _, err = run_cli(SWEEP_ARGS + ["--mu-list", mu_list,
                                                 "--out", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error: config:")
         assert "\n" not in err.strip()
         assert f"{first} and {second}" in err
         assert "report_eps1e-05_mu0.0001.csv" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        SWEEP_ARGS + ["--mu", "0.9", "--mu-list", "1e-4"],
+        SWEEP_ARGS + ["--mu", "5", "--mu-list", "1e-4"],
+        ["temporal", "--M", "0"],
+        ["converge", "--M", "0"],
+        ["converge", "--N", "20"],
+        ["converge", "--epsilon", "0"],
+        ["converge", "--example", "custom"],
+        ["solve", "--mu=-1e-4"],
+        ["dump-mesh", "--N", "8"],
+        ["solve", "--checks", "loose"],
+        ["dump-mesh", "--theta-variant", "section3"],
+    ])
+    def test_bad_input_is_one_config_line(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "\n" not in err.strip()
         assert list(tmp_path.iterdir()) == []
 
     def test_computation_error_is_exit_one(self, capsys, tmp_path):
