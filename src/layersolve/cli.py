@@ -137,15 +137,11 @@ def _run_converge(args: argparse.Namespace) -> None:
 
 def _run_temporal(args: argparse.Namespace) -> None:
     m_top = 32 if args.m is None else args.m
-    if m_top < 1:
-        raise InvalidInput(f"--M={m_top}: the largest M must be at least 1")
+    if m_top < 4 or m_top & (m_top - 1):
+        raise InvalidInput(f"--M={m_top}: the largest M must be on the ladder 4, 8, 16, ...")
     man = registry.manufactured_sine()
-    m_list = []
-    m = 4
-    while m <= max(4, m_top):
-        m_list.append(m)
-        m *= 2
-    report = analysis.temporal_order_study(man, args.n, tuple(m_list), args.checks)
+    m_list = tuple(4 << k for k in range(m_top.bit_length() - 2))
+    report = analysis.temporal_order_study(man, args.n, m_list, args.checks)
     _atomic_write(args.out_path, [analysis.render_temporal_csv(report)])
 
 
@@ -176,9 +172,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _mu_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        mus = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not mus:
+        raise argparse.ArgumentTypeError(f"no mu values in {text!r}")
+    return mus
 
 
 def _check_policy(text: str) -> CheckPolicy:

@@ -123,6 +123,10 @@ class TestConfigValidation:
         ["dump-mesh", "--N", "8"],
         ["solve", "--checks", "loose"],
         ["dump-mesh", "--theta-variant", "section3"],
+        ["temporal", "--M", "3"],
+        ["temporal", "--M", "6"],
+        ["converge", "--mu-list", ""],
+        ["converge", "--mu-list", ","],
     ])
     def test_bad_input_is_one_config_line(self, capsys, tmp_path, argv):
         code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)

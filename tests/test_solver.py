@@ -1,18 +1,19 @@
 """Thomas elimination, time marching, runtime audits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation,
-                        NonFiniteValue, PerturbationParams, PiecewiseField,
-                        ProblemSpec, TridiagonalSystem, ZeroPivot, assemble,
-                        ThomasFactors, derive_regime, lookup, march,
-                        residual_max_norm, spatial_mesh_for, stability_audit,
-                        thomas_factor, thomas_solve, uniform_mesh,
-                        uniform_time_grid)
+from layersolve import (CheckPolicy, CheckWarning, DiscreteSolution,
+                        MMatrixViolation, NonFiniteValue, PerturbationParams,
+                        PiecewiseField, ProblemSpec, StabilityViolation,
+                        TridiagonalSystem, ZeroPivot, assemble, ThomasFactors,
+                        derive_regime, lookup, march, residual_max_norm,
+                        spatial_mesh_for, stability_audit, thomas_factor,
+                        thomas_solve, uniform_mesh, uniform_time_grid)
 
 
 def random_dominant_system(rng, size):
@@ -55,6 +56,19 @@ def with_b(base, b):
                        q=base.q, d=base.d, t_final=base.t_final,
                        params=base.params, alpha1=base.alpha1,
                        alpha2=base.alpha2, beta=base.beta, eta=base.eta)
+
+
+def lying_beta_case():
+    """example1 with beta declared far above its reaction floor, and its mesh.
+
+    The audit bound then sits below the true solution scale from step j=1 on.
+    """
+    base = lookup("example1", 1e-5, 1e-4)
+    lying = ProblemSpec(
+        a=base.a, f=base.f, b=base.b, c=base.c, p=base.p, r=base.r,
+        q=base.q, d=base.d, t_final=base.t_final, params=base.params,
+        alpha1=1.0, alpha2=1.0, beta=5000.0, eta=1.0)
+    return lying, spatial_mesh_for(derive_regime(base), base.params, 32, 0.5)
 
 
 def per_step_stream(spec, mesh, grid):
@@ -404,6 +418,67 @@ class TestMarch:
 
 
 class TestStabilityAudit:
+    def test_march_reports_a_violation_once_after_the_last_step(self):
+        spec, mesh = lying_beta_case()
+        grid = uniform_time_grid(1.0, 64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            march(spec, mesh, grid, CheckPolicy())
+        assert [w.category for w in caught] == [CheckWarning]
+        with pytest.raises(StabilityViolation) as err:
+            march(spec, mesh, grid, CheckPolicy.strict_policy())
+        for part in ("N=32", "M=64", "j=1 "):
+            assert part in str(err.value)
+
+    @pytest.mark.parametrize("checks,calls", [
+        (CheckPolicy(), 1), (CheckPolicy.strict_policy(), 1),
+        (CheckPolicy.off(), 0),
+    ], ids=["warn", "strict", "off"])
+    def test_march_calls_the_audit_once_when_audited(self, monkeypatch,
+                                                      checks, calls):
+        import layersolve.solver as solver_mod
+        seen = []
+        original = solver_mod.stability_audit
+
+        def counting(sol, spec):
+            seen.append(sol)
+            return original(sol, spec)
+
+        monkeypatch.setattr(solver_mod, "stability_audit", counting)
+        spec = lookup("example1", 1e-8, 1e-6)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
+        sol = march(spec, mesh, uniform_time_grid(1.0, 8), checks)
+        assert len(seen) == calls
+        assert all(s is sol for s in seen)
+
+    def test_max_abs_makes_no_copy_of_the_values(self):
+        spec = lookup("example1", 1e-8, 1e-6)
+        values = np.random.default_rng(7).uniform(-1.0, 1.0, (513, 513))
+        sol = DiscreteSolution(mesh=uniform_mesh(512),
+                               grid=uniform_time_grid(1.0, 512), values=values)
+        tracemalloc.start()
+        try:
+            stability_audit(sol, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * values.nbytes
+
+    @pytest.mark.parametrize("case", ["signed-zeros", "finite", "nan"])
+    def test_max_abs_is_bitwise_numpy_abs_max(self, case):
+        values = np.full((5, 17), -0.0)
+        values[2, 3] = 0.0
+        if case != "signed-zeros":
+            values[1] = np.linspace(-3.0, 2.0, 17)
+        if case == "nan":
+            values[3, 4] = np.nan
+        sol = DiscreteSolution(mesh=uniform_mesh(16),
+                               grid=uniform_time_grid(1.0, 4), values=values)
+        report = stability_audit(sol, zero_data_spec())
+        expected = np.max(np.abs(values))
+        assert np.float64(report.max_abs).tobytes() == expected.tobytes()
+        assert report.passed is (case == "signed-zeros")
+
     def test_zero_data_passes_with_slack_margin(self):
         spec = zero_data_spec()
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
