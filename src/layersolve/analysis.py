@@ -246,6 +246,9 @@ def parse_report_csv(text: str) -> ConvergenceReport:
         n_s, m_s, e_s, r_s = line.split(",")
         records.append(LevelRecord(n=int(n_s), m=int(m_s), e=float(e_s),
                                    r=float(r_s) if r_s else None))
+    for key in ("epsilon", "mu", "rho", "alpha", "case"):
+        if key not in meta:
+            raise ValueError(f"report lacks its '# {key}=' line")
     regime = RegimeConstants(rho=float(meta["rho"]), alpha=float(meta["alpha"]),
                              case=RegimeCase(meta["case"]))
     return ConvergenceReport(levels=tuple(records), regime=regime,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -164,7 +165,13 @@ def run(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Turns every parse failure into InvalidInput instead of a usage block."""
+    """Turns every parse failure into InvalidInput instead of a usage block,
+    and reads -1e-4 or -1e-4,1e-5 as a value: argparse's own negative-number
+    pattern has no exponent, and no flag here starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise InvalidInput(message)

@@ -20,7 +20,11 @@ transmission condition D+ U = D- U instead of the PDE.
 A step is assembled in three parts: sample a, b, c at t_mid
 (:func:`sample_coefficients`), build the matrix A from those samples
 (:func:`build_operator`), and form the right side from A itself
-(:func:`step_rhs`).  A march whose samples repeat reuses the matrix.
+(:func:`step_rhs`).  Each samples its data once per row 1..N-1, a piecewise
+field from its left branch below N/2 and its right branch from N/2 on
+(:func:`_on_rows`); row N/2 is sampled like the rows right of it, then
+overwritten by the transmission row.  A march whose samples repeat reuses
+the matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpatialMesh
-from .problem import ProblemSpec
+from .problem import PiecewiseField, ProblemSpec, _evaluate
 
 __all__ = [
     "StencilWeights",
@@ -106,25 +110,26 @@ def discontinuity_row(mesh: SpatialMesh) -> StencilWeights:
     return StencilWeights(-1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp, 0.0)
 
 
-def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh,
-                        t_mid: float) -> tuple[np.ndarray, ...]:
-    """a, b and c at (x_i, t_mid) on the PDE rows: six arrays.
+def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t: float) -> np.ndarray:
+    """field at (x_i, t) for i = 1..N-1: left branch below N/2, right from N/2 on."""
+    mid = mesh.n // 2
+    return np.concatenate((_evaluate(field.left, mesh.points[1:mid], t),
+                           _evaluate(field.right, mesh.points[mid:-1], t)))
 
-    The first three cover rows 1..N/2-1 (with a's left branch), the last
-    three rows N/2+1..N-1 (right branch).  Together with the mesh, dt, eps
-    and mu they determine the step's matrix, so bitwise-equal samples give
-    a bitwise-equal :func:`build_operator`.
+
+def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh,
+                        t_mid: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a, b and c at (x_i, t_mid) for rows i = 1..N-1: three arrays.
+
+    a takes its left branch below N/2 and its right branch from N/2 on.
+    Row N/2 is sampled but its matrix row is the transmission row, which
+    overwrites it.  Together with the mesh, dt, eps and mu the samples
+    determine the step's matrix, so a march that finds all three arrays
+    bitwise equal to the previous step's (row N/2 included) reuses it.
     """
-    n = mesh.n
-    mid = n // 2
-    out = []
-    for a_fn, idx in ((spec.a.left, np.arange(1, mid)),
-                      (spec.a.right, np.arange(mid + 1, n))):
-        xi = mesh.points[idx]
-        for fn in (a_fn, spec.b, spec.c):
-            out.append(np.broadcast_to(np.asarray(fn(xi, t_mid), dtype=float),
-                                       xi.shape))
-    return tuple(out)
+    x = mesh.points[1:-1]
+    return (_on_rows(spec.a, mesh, t_mid), _evaluate(spec.b, x, t_mid),
+            _evaluate(spec.c, x, t_mid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,54 +151,42 @@ class StepOperator:
 
 
 def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
-                   samples: tuple[np.ndarray, ...]) -> StepOperator:
+                   samples: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StepOperator:
     """The step matrix from :func:`sample_coefficients` output.
 
     Rows 0 and N are identity rows, row N/2 is the transmission row and
-    every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with a
-    from the branch on i's side of N/2 and D* upwind (D- left, D+ right).
+    every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with D*
+    upwind: D- below N/2 (a < 0 there), D+ above it.
     """
-    n = mesh.n
-    h = mesh.h
-    eps = spec.params.epsilon
-    mu = spec.params.mu
-    mid = n // 2
+    mid = mesh.n // 2
+    eps, mu = spec.params.epsilon, spec.params.mu
+    a_v, b_v, c_v = samples
+    # entry k of each array below belongs to row k + 1
+    left, right = slice(None, mid - 1), slice(mid - 1, None)
+    hi = mesh.h[1:-1]
+    hi1 = mesh.h[2:]
+    hbar2 = hi + hi1
+    cbar = b_v + 2.0 * c_v / dt
 
-    sub = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    sup = np.zeros(n + 1)
-    c4dt = np.zeros(n + 1)
-    diag[0] = 1.0
-    diag[n] = 1.0
+    w_minus = 2.0 * eps / (hi * hbar2)
+    w_plus = 2.0 * eps / (hi1 * hbar2)
+    w_center = -2.0 * eps / (hi * hi1) - cbar
+    conv = mu * a_v[left] / hi[left]
+    w_minus[left] -= conv
+    w_center[left] += conv
+    conv = mu * a_v[right] / hi1[right]
+    w_plus[right] += conv
+    w_center[right] -= conv
 
-    for left_side, idx, (a_v, b_v, c_v) in (
-            (True, np.arange(1, mid), samples[:3]),
-            (False, np.arange(mid + 1, n), samples[3:])):
-        hi = h[idx]
-        hi1 = h[idx + 1]
-        hbar2 = hi + hi1
-        cbar = b_v + 2.0 * c_v / dt
-
-        w_minus = 2.0 * eps / (hi * hbar2)
-        w_plus = 2.0 * eps / (hi1 * hbar2)
-        w_center = -2.0 * eps / (hi * hi1) - cbar
-        if left_side:
-            # upwind D- on the left of the discontinuity (a < 0 there)
-            w_minus = w_minus - mu * a_v / hi
-            w_center = w_center + mu * a_v / hi
-        else:
-            w_plus = w_plus + mu * a_v / hi1
-            w_center = w_center - mu * a_v / hi1
-
-        sub[idx] = -w_minus
-        diag[idx] = -w_center
-        sup[idx] = -w_plus
-        c4dt[idx] = 4.0 * c_v / dt
-
+    sub, diag, sup, c4dt = (np.zeros(mesh.n + 1) for _ in range(4))
+    sub[1:-1] = -w_minus
+    diag[1:-1] = -w_center
+    sup[1:-1] = -w_plus
+    c4dt[1:-1] = 4.0 * c_v / dt
+    diag[0] = diag[-1] = 1.0
     row = discontinuity_row(mesh)
-    sub[mid] = row.w_minus
-    diag[mid] = row.w_center
-    sup[mid] = row.w_plus
+    sub[mid], diag[mid], sup[mid], c4dt[mid] = (row.w_minus, row.w_center,
+                                               row.w_plus, 0.0)
     return StepOperator(sub=sub, diag=diag, sup=sup, c4dt=c4dt)
 
 
@@ -205,16 +198,11 @@ def step_rhs(spec: ProblemSpec, mesh: SpatialMesh, op: StepOperator,
     since A's diagonal holds cbar = dbar + 4c/dt; rows 0 and N carry p and r
     at t_next, row N/2 zero.
     """
-    n = mesh.n
-    mid = n // 2
-    t_mid = t_next - 0.5 * dt
     rhs = op.c4dt * u_prev - _tridiagonal_apply(op.sub, op.diag, op.sup, u_prev)
-    for f_fn, idx in ((spec.f.left, np.arange(1, mid)),
-                      (spec.f.right, np.arange(mid + 1, n))):
-        rhs[idx] -= 2.0 * np.asarray(f_fn(mesh.points[idx], t_mid), dtype=float)
+    rhs[1:-1] -= 2.0 * _on_rows(spec.f, mesh, t_next - 0.5 * dt)
     rhs[0] = float(spec.p(t_next))
-    rhs[n] = float(spec.r(t_next))
-    rhs[mid] = 0.0
+    rhs[-1] = float(spec.r(t_next))
+    rhs[mesh.n // 2] = 0.0
     return rhs
 
 
@@ -265,10 +253,8 @@ def m_matrix_check(sys: TridiagonalSystem) -> MMatrixReport:
     violations: list[tuple[int, str]] = []
     for i in np.nonzero(diag == 0.0)[0]:
         violations.append((int(i), "zero diagonal"))
-    interior = np.arange(1, n)
-    bad_sign = interior[(sub[interior] > 0.0) | (sup[interior] > 0.0)]
-    for i in bad_sign:
-        violations.append((int(i), "positive off-diagonal"))
+    for i in np.nonzero((sub[1:-1] > 0.0) | (sup[1:-1] > 0.0))[0]:
+        violations.append((int(i) + 1, "positive off-diagonal"))
 
     margin = np.abs(diag) - (np.abs(sub) + np.abs(sup))
     margin[0] = np.abs(diag[0]) - np.abs(sup[0])

@@ -45,10 +45,16 @@ TimeFn = Callable[[float], float]
 SpaceFn = Callable[..., "np.ndarray | float"]
 
 
+def _evaluate(fn: Callable, *args) -> np.ndarray:
+    """fn(*args) as floats of the arguments' broadcast shape; a scalar is broadcast."""
+    vals = np.asarray(fn(*args), dtype=float)
+    shape = np.broadcast(*args).shape
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+
+
 def _sample(fn: SpaceTimeFn, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the tensor grid xs x ts, tolerating scalar-returning fns."""
-    vals = np.asarray(fn(xs[:, None], ts[None, :]), dtype=float)
-    return np.broadcast_to(vals, (xs.size, ts.size))
+    """Evaluate fn on the tensor grid xs x ts."""
+    return _evaluate(fn, xs[:, None], ts[None, :])
 
 
 def _sample_grids(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

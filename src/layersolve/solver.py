@@ -31,7 +31,7 @@ from .discretization import (TridiagonalSystem, build_operator, m_matrix_check,
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
-from .problem import ProblemSpec, _sample, _sample_grids
+from .problem import ProblemSpec, _evaluate, _sample, _sample_grids
 
 __all__ = [
     "KERNEL",
@@ -290,11 +290,6 @@ def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
     return float(np.max(np.abs(sys.apply(x) - sys.rhs)))
 
 
-def _eval_on(fn, arg) -> np.ndarray:
-    vals = np.asarray(fn(arg), dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(vals, np.shape(arg)))
-
-
 def _f_sup(spec: ProblemSpec) -> float:
     xs_l, xs_r, ts = _sample_grids(spec)
     sup = 0.0
@@ -306,7 +301,7 @@ def _f_sup(spec: ProblemSpec) -> float:
 def _data_sup(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid) -> float:
     p_vals = np.array([float(spec.p(t)) for t in grid.times])
     r_vals = np.array([float(spec.r(t)) for t in grid.times])
-    q_vals = _eval_on(spec.q, mesh.points)
+    q_vals = _evaluate(spec.q, mesh.points)
     return float(max(np.max(np.abs(p_vals)), np.max(np.abs(r_vals)),
                      np.max(np.abs(q_vals))))
 
@@ -331,7 +326,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     """
     n = mesh.n
     values = np.empty((grid.m + 1, n + 1))
-    values[0] = _eval_on(spec.q, mesh.points)
+    values[0] = _evaluate(spec.q, mesh.points)
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteValue("initial data contains non-finite values")
 

@@ -152,6 +152,18 @@ class TestSerialization:
             epsilon=1e-8, mu=1e-6)
         assert parse_report_csv(render_report_csv(report)) == report
 
+    @pytest.mark.parametrize("key", ["epsilon", "mu", "rho", "alpha", "case"])
+    def test_missing_metadata_line_names_its_key(self, key):
+        report = ConvergenceReport(
+            levels=(LevelRecord(n=64, m=64, e=0.04, r=None),),
+            regime=RegimeConstants(rho=1.9, alpha=1.0, case=RegimeCase.CASE_I),
+            epsilon=1e-8, mu=1e-6)
+        text = "".join(line for line in
+                       render_report_csv(report).splitlines(keepends=True)
+                       if not line.startswith(f"# {key}="))
+        with pytest.raises(ValueError, match=f"'# {key}=' line"):
+            parse_report_csv(text)
+
     def test_csv_layout(self):
         report = convergence_study(quick_spec(), 16, 4, levels=2)
         text = render_report_csv(report)

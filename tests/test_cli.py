@@ -135,6 +135,18 @@ class TestConfigValidation:
         assert "\n" not in err.strip()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--mu", "-1e-4"], "mu=-0.0001 must be in (0, 1]"),
+        (["solve", "--epsilon", "-1e-8"], "epsilon=-1e-08 must be in (0, 1]"),
+        (["converge", "--mu-list", "-1e-4,1e-5"], "mu=-0.0001 must be in (0, 1]"),
+    ])
+    def test_negative_scientific_value_reaches_range_check(self, capsys, tmp_path,
+                                                           argv, message):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err == f"error: config: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_computation_error_is_exit_one(self, capsys, tmp_path):
         # eps=0.5 at N=16 makes the transition widths overlap
         code, _, err = run_cli(["dump-mesh", "--epsilon", "0.5", "--mu", "1e-4",

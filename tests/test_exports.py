@@ -1,11 +1,25 @@
-"""Module exports: every name a module lists in ``__all__`` exists."""
+"""Module exports: every name a module lists in ``__all__`` exists, and every
+function the benchmark tracer wraps is still defined where it looks."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
 MODULES = ("analysis", "cli", "discretization", "errors", "mesh", "problem",
            "registry", "solver")
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_functions():
+    """The (module, function) pairs of ``TRACED``, read without importing."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                             for t in node.targets] == ["TRACED"]:
+            return sorted(ast.literal_eval(node.value).values())
+    raise AssertionError(f"no TRACED assignment in {TRACING}")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +30,10 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from layersolve.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("module,function", traced_functions())
+def test_traced_function_is_defined_in_its_module(module, function):
+    fn = getattr(importlib.import_module(module), function, None)
+    assert callable(fn)
+    assert fn.__module__ == module
