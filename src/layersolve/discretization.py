@@ -20,11 +20,12 @@ transmission condition D+ U = D- U instead of the PDE.
 A step is assembled in three parts: sample a, b, c at t_mid
 (:func:`sample_coefficients`), build the matrix A from those samples
 (:func:`build_operator`), and form the right side from A itself
-(:func:`step_rhs`).  Each samples its data once per row 1..N-1, a piecewise
-field from its left branch below N/2 and its right branch from N/2 on
-(:func:`_on_rows`); row N/2 is sampled like the rows right of it, then
-overwritten by the transmission row.  A march whose samples repeat reuses
-the matrix.
+(:func:`step_rhs`).  The first returns three arrays over rows 1..N-1 and
+the last samples f on the same rows; a piecewise field takes its left
+branch below N/2 and its right branch from N/2 on (:func:`_on_rows`).  Row
+N/2 is sampled like the rows right of it, then overwritten by the
+transmission row.  A march whose three arrays are bitwise equal to the
+previous step's, row N/2 included, reuses the matrix.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     w_plus[right] += conv
     w_center[right] -= conv
 
-    sub, diag, sup, c4dt = (np.zeros(mesh.n + 1) for _ in range(4))
+    sub, diag, sup, c4dt = np.zeros((4, mesh.n + 1))
     sub[1:-1] = -w_minus
     diag[1:-1] = -w_center
     sup[1:-1] = -w_plus
