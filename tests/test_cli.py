@@ -215,6 +215,14 @@ class TestOutputBytes:
         assert run_cli(argv, capsys)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[command]
 
+    def test_temporal_output_sha256(self, capsys, tmp_path):
+        # pinned apart from SHA256: temporal rejects the problem flags of ARGS
+        out = tmp_path / "out.txt"
+        argv = ["temporal", "--N", "64", "--M", "16", "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "75fdf5a91d0485c2fe794d25a20d5a9f6dfbdfc5b19bfe43fe71f3cb36379d38")
+
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_percent_format_matches_fstring(self, v):
         assert "%.17g" % v == f"{v:.17g}"
