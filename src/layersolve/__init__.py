@@ -10,8 +10,8 @@ from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
                        convergence_study, double_mesh_difference,
                        double_mesh_error, parse_report_csv, render_report_csv,
                        render_text_table, temporal_order_study)
-from .discretization import (MMatrixReport, StencilWeights, TridiagonalSystem,
-                             assemble, discontinuity_row, m_matrix_check)
+from .discretization import (MMatrixReport, TridiagonalSystem, assemble,
+                             discontinuity_row, m_matrix_check)
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      InvalidInput, LayerSolveError, LayersOverlap,
                      ManufacturedMismatch, MeshMismatch, MMatrixViolation,
@@ -24,8 +24,7 @@ from .mesh import (LayerParams, SpatialMesh, ThetaVariant, TimeGrid, bisect,
 from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       RegimeCase, RegimeConstants, ValidationReport,
                       derive_regime, validate)
-from .registry import (ManufacturedProblem, lookup, manufactured_linear,
-                       manufactured_sine, manufactured_steady)
+from .registry import ManufacturedProblem, lookup, manufactured_sine
 from .solver import (KERNEL, AuditReport, CheckPolicy, DiscreteSolution,
                      ThomasFactors, march, residual_max_norm, stability_audit,
                      thomas_factor, thomas_solve)

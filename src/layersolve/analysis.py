@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import (InvalidInput, LayersOverlap, ManufacturedMismatch,
                      MeshMismatch)
-from .mesh import (SpatialMesh, ThetaVariant, bisect, layer_params,
-                   spatial_mesh_for, uniform_mesh, uniform_time_grid)
+from .mesh import (SpatialMesh, ThetaVariant, bisect, spatial_mesh_for,
+                   uniform_mesh, uniform_time_grid)
 from .problem import (ProblemSpec, RegimeConstants, RegimeCase, derive_regime,
                       validate)
 from .registry import ManufacturedProblem
@@ -183,11 +183,10 @@ def temporal_order_study(man: ManufacturedProblem, n_fixed: int,
             f"manufactured solution residual {resid:.3e} exceeds "
             f"{MANUFACTURED_RESIDUAL_TOL}; forcing and derivatives disagree")
     spec = man.spec
-    regime = derive_regime(spec)
     try:
-        mesh = spatial_mesh_for(regime, spec.params, n_fixed, spec.d)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, n_fixed, spec.d)
     except LayersOverlap:
-        mesh = uniform_mesh(n_fixed, spec.d, layer_params(regime, spec.params))
+        mesh = uniform_mesh(n_fixed, spec.d)
 
     ms = sorted(m_list)
     errors = []

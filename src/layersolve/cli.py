@@ -159,7 +159,7 @@ def run(args: argparse.Namespace) -> int:
     """Execute one namespace from build_parser(); returns the process exit status."""
     try:
         args.runner(args)
-    except (LayerSolveError, OSError) as exc:
+    except (LayerSolveError, OSError, MemoryError) as exc:
         return _exit_status(exc)
     return 0
 

@@ -38,7 +38,6 @@ from .mesh import SpatialMesh
 from .problem import PiecewiseField, ProblemSpec, _evaluate
 
 __all__ = [
-    "StencilWeights",
     "TridiagonalSystem",
     "MMatrixReport",
     "discontinuity_row",
@@ -49,16 +48,6 @@ __all__ = [
     "assemble",
     "m_matrix_check",
 ]
-
-
-@dataclass(frozen=True)
-class StencilWeights:
-    """Coefficients of (U_{i-1}, U_i, U_{i+1}) in one row, plus its right side."""
-
-    w_minus: float
-    w_center: float
-    w_plus: float
-    forcing: float
 
 
 def _tridiagonal_apply(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -94,21 +83,18 @@ class TridiagonalSystem:
     def size(self) -> int:
         return self.diag.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product of the stored tridiagonal matrix with x."""
-        return _tridiagonal_apply(self.sub, self.diag, self.sup, x)
 
-
-def discontinuity_row(mesh: SpatialMesh) -> StencilWeights:
+def discontinuity_row(mesh: SpatialMesh) -> tuple[float, float, float]:
     """Transmission row at i = N/2: D+ U = D- U, independent of t and u_prev.
 
-    Returned directly in the stored (positive-diagonal) convention; any
-    globally linear profile satisfies it exactly.
+    Returns the weights (w_minus, w_center, w_plus) of (U_{i-1}, U_i,
+    U_{i+1}) in the stored (positive-diagonal) convention; the row's right
+    side is always 0.  Any globally linear profile satisfies it exactly.
     """
     mid = mesh.n // 2
     hm = float(mesh.h[mid])
     hp = float(mesh.h[mid + 1])
-    return StencilWeights(-1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp, 0.0)
+    return -1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp
 
 
 def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t: float) -> np.ndarray:
@@ -135,7 +121,7 @@ def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh,
 
 @dataclass(frozen=True, eq=False)
 class StepOperator:
-    """The matrix of one Crank-Nicolson step, without a right-hand side.
+    """The read-only matrix of one Crank-Nicolson step, without a right-hand side.
 
     ``sub``, ``diag`` and ``sup`` are stored as in :class:`TridiagonalSystem`;
     ``c4dt`` is 4c/dt on the PDE rows and 0 on rows 0, N/2 and N.
@@ -145,6 +131,10 @@ class StepOperator:
     diag: np.ndarray
     sup: np.ndarray
     c4dt: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.sub, self.diag, self.sup, self.c4dt):
+            arr.setflags(write=False)
 
     def system(self, rhs: np.ndarray) -> TridiagonalSystem:
         return TridiagonalSystem(sub=self.sub, diag=self.diag, sup=self.sup,
@@ -185,9 +175,8 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     sup[1:-1] = -w_plus
     c4dt[1:-1] = 4.0 * c_v / dt
     diag[0] = diag[-1] = 1.0
-    row = discontinuity_row(mesh)
-    sub[mid], diag[mid], sup[mid], c4dt[mid] = (row.w_minus, row.w_center,
-                                               row.w_plus, 0.0)
+    sub[mid], diag[mid], sup[mid] = discontinuity_row(mesh)
+    c4dt[mid] = 0.0
     return StepOperator(sub=sub, diag=diag, sup=sup, c4dt=c4dt)
 
 

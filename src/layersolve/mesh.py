@@ -143,10 +143,6 @@ class SpatialMesh:
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
-    @property
-    def d_index(self) -> int:
-        return self.n // 2
-
     def segment_label(self, i: int) -> str:
         """Name of the segment point i belongs to; junctions go to the left segment."""
         n = self.n
@@ -208,13 +204,12 @@ def build_mesh(layer: LayerParams, tau: tuple[float, float, float, float],
     return SpatialMesh(n=n, points=x, tau=(tau1, tau2, tau3, tau4), layer=layer)
 
 
-def uniform_mesh(n: int, d: float = 0.5,
-                 layer: LayerParams = LayerParams(1.0, 1.0)) -> SpatialMesh:
+def uniform_mesh(n: int, d: float = 0.5) -> SpatialMesh:
     """Uniform fallback mesh for layer-free (degenerate) problem instances.
 
     Used when the transition formulas would overlap, e.g. eps = mu = 1 in
     manufactured-solution studies.  The tau tuple is derived from the lattice
-    so all landmark identities still hold.
+    so all landmark identities still hold; ``layer`` is LayerParams(1.0, 1.0).
     """
     _check_n(n)
     x = np.arange(n + 1) / n
@@ -222,7 +217,7 @@ def uniform_mesh(n: int, d: float = 0.5,
         raise ValueError(f"uniform mesh cannot place d={d} at index N/2 for N={n}")
     tau = (float(x[n // 8]), float(d - x[3 * n // 8]),
            float(x[5 * n // 8] - d), float(1.0 - x[7 * n // 8]))
-    return SpatialMesh(n=n, points=x, tau=tau, layer=layer)
+    return SpatialMesh(n=n, points=x, tau=tau, layer=LayerParams(1.0, 1.0))
 
 
 def spatial_mesh_for(regime: RegimeConstants, params: PerturbationParams, n: int,

@@ -82,10 +82,6 @@ class PiecewiseField:
         if not 0.0 < self.d < 1.0:
             raise ValueError(f"discontinuity abscissa d={self.d} must lie in (0,1)")
 
-    def jump(self, t: float) -> float:
-        """One-sided jump right(d,t) - left(d,t)."""
-        return float(self.right(self.d, t)) - float(self.left(self.d, t))
-
 
 @dataclass(frozen=True)
 class PerturbationParams:

@@ -12,8 +12,8 @@ with homogeneous boundary and initial data.  Custom problems are built in
 host code by constructing a :class:`~layersolve.problem.ProblemSpec`
 directly; there is deliberately no expression-parsing DSL.
 
-Manufactured problems (known exact solution, eps = mu = 1) support the
-temporal-order studies.
+The manufactured sine problem (known exact solution, eps = mu = 1) supports
+the temporal-order study.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "REGISTRY_KEYS",
     "ManufacturedProblem",
     "manufactured_sine",
-    "manufactured_linear",
-    "manufactured_steady",
 ]
 
 _D = 0.5
@@ -101,7 +99,6 @@ class ManufacturedProblem:
     re-verified without finite differencing.
     """
 
-    name: str
     spec: ProblemSpec
     exact: Callable[..., np.ndarray]
     exact_x: Callable[..., np.ndarray]
@@ -109,7 +106,7 @@ class ManufacturedProblem:
     exact_t: Callable[..., np.ndarray]
 
 
-def _manufacture(name: str, u, ux, uxx, ut) -> ManufacturedProblem:
+def _manufacture(u, ux, uxx, ut) -> ManufacturedProblem:
     # eps = mu = 1, a = -1/+1 branches, b = c = 1: layer-free but the forcing
     # still jumps at d, keeping the instance inside the problem class.
     def f_branch(a_sign):
@@ -133,37 +130,16 @@ def _manufacture(name: str, u, ux, uxx, ut) -> ManufacturedProblem:
         alpha2=1.0,
         beta=1.0,
         eta=1.0)
-    return ManufacturedProblem(name=name, spec=spec, exact=u, exact_x=ux,
-                               exact_xx=uxx, exact_t=ut)
+    return ManufacturedProblem(spec=spec, exact=u, exact_x=ux, exact_xx=uxx,
+                               exact_t=ut)
 
 
 def manufactured_sine() -> ManufacturedProblem:
     """u = exp(-t) sin(pi x): smooth, time-decaying, zero at both boundaries."""
     pi = np.pi
     return _manufacture(
-        "sine",
         u=lambda x, t: np.exp(-t) * np.sin(pi * x),
         ux=lambda x, t: pi * np.exp(-t) * np.cos(pi * x),
         uxx=lambda x, t: -pi * pi * np.exp(-t) * np.sin(pi * x),
         ut=lambda x, t: -np.exp(-t) * np.sin(pi * x))
 
-
-def manufactured_linear() -> ManufacturedProblem:
-    """u = exp(-t)(1 + x): linear in x, so the upwind stencil is spatially exact."""
-    return _manufacture(
-        "linear",
-        u=lambda x, t: np.exp(-t) * (1.0 + x),
-        ux=lambda x, t: np.exp(-t) * (1.0 + 0.0 * x),
-        uxx=lambda x, t: 0.0 * x,
-        ut=lambda x, t: -np.exp(-t) * (1.0 + x))
-
-
-def manufactured_steady() -> ManufacturedProblem:
-    """u = sin(pi x), independent of t: isolates the spatial error floor."""
-    pi = np.pi
-    return _manufacture(
-        "steady",
-        u=lambda x, t: np.sin(pi * x) + 0.0 * t,
-        ux=lambda x, t: pi * np.cos(pi * x) + 0.0 * t,
-        uxx=lambda x, t: -pi * pi * np.sin(pi * x) + 0.0 * t,
-        ut=lambda x, t: 0.0 * x + 0.0 * t)

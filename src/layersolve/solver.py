@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .discretization import (TridiagonalSystem, build_operator, m_matrix_check,
-                             sample_coefficients, step_rhs)
+from .discretization import (TridiagonalSystem, _tridiagonal_apply, build_operator,
+                             m_matrix_check, sample_coefficients, step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
@@ -164,7 +164,7 @@ class ThomasFactors:
     ``solve`` repeats :func:`thomas_solve`'s forward and back sweeps for a
     new right-hand side with the same operations in the same order, so its
     result is bitwise equal to ``thomas_solve`` on the same system.  The
-    fields are in the format of the kernel that factored them.
+    fields are read-only: the C kernel's arrays or the Python loops' tuples.
     """
 
     sub: Sequence[float]
@@ -175,6 +175,12 @@ class ThomasFactors:
         # the compiled re-solve reads len(piv) entries of each
         if not 3 <= len(self.piv) == len(self.sub) == len(self.c):
             raise ValueError("sub, piv and c must have one length, at least 3")
+        for name in ("sub", "piv", "c"):
+            arr = getattr(self, name)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+            else:
+                object.__setattr__(self, name, tuple(arr))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if np.shape(rhs) != (len(self.piv),):
@@ -287,7 +293,8 @@ KERNEL = _KERNEL.name
 
 def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
     """Max-norm of A x - rhs for the stored tridiagonal matrix."""
-    return float(np.max(np.abs(sys.apply(x) - sys.rhs)))
+    return float(np.max(np.abs(_tridiagonal_apply(sys.sub, sys.diag, sys.sup, x)
+                               - sys.rhs)))
 
 
 def _f_sup(spec: ProblemSpec) -> float:

@@ -8,14 +8,15 @@ from layersolve import (CheckPolicy, ConvergenceReport, LevelRecord,
                         PiecewiseField, ProblemSpec, RegimeCase,
                         RegimeConstants, bisect, convergence_study,
                         derive_regime, double_mesh_difference,
-                        double_mesh_error, lookup, manufactured_sine,
-                        manufactured_steady, march, parse_report_csv,
-                        render_report_csv, render_text_table,
-                        spatial_mesh_for, temporal_order_study,
-                        uniform_time_grid)
+                        double_mesh_error, lookup, manufactured_sine, march,
+                        parse_report_csv, render_report_csv,
+                        render_text_table, spatial_mesh_for,
+                        temporal_order_study, uniform_time_grid)
 from layersolve.analysis import (orders_from_errors, render_temporal_csv,
                                  report_filename)
 from layersolve.solver import DiscreteSolution
+
+from manufactured import manufactured_steady
 
 
 def quick_spec(epsilon=1e-5, mu=1e-4):
@@ -115,7 +116,7 @@ class TestTemporalOrderStudy:
         from layersolve.registry import ManufacturedProblem
         man = manufactured_sine()
         broken = ManufacturedProblem(
-            name="broken", spec=man.spec, exact=man.exact, exact_x=man.exact_x,
+            spec=man.spec, exact=man.exact, exact_x=man.exact_x,
             exact_xx=man.exact_xx,
             exact_t=lambda x, t: man.exact_t(x, t) + 1e-3)
         with pytest.raises(ManufacturedMismatch):

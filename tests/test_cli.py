@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layersolve import UnknownExample, parse_report_csv
+from layersolve import UnknownExample, cli, parse_report_csv
 from layersolve.cli import _atomic_write, main
 from layersolve.registry import lookup
 
@@ -179,6 +179,21 @@ class TestOutputFailures:
         assert "\n" not in err.strip()
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    def test_memory_error_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        # stands in for march's np.empty on a huge N x M; the real allocation
+        # can succeed where the kernel overcommits memory
+        def march(*args):
+            raise MemoryError("Unable to allocate 32.0 TiB")
+
+        monkeypatch.setattr(cli, "march", march)
+        code, out, err = run_cli(["solve", "--epsilon", "1e-5", "--mu", "1e-4",
+                                  "--N", "16", "--out", str(tmp_path / "s.csv")],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: MemoryError: Unable to allocate 32.0 TiB\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_stream_keeps_old_target(self, tmp_path):
         out = tmp_path / "sol.csv"

@@ -1,6 +1,7 @@
 """Stencil weights, assembly, transmission row, M-matrix structure."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
-                        ProblemSpec, StencilWeights, TridiagonalSystem,
+                        ProblemSpec, TridiagonalSystem,
                         assemble, discontinuity_row, lookup, m_matrix_check,
                         spatial_mesh_for, derive_regime, thomas_solve)
 from layersolve.mesh import SpatialMesh
@@ -39,10 +40,19 @@ def plain_spec(a_left, a_right, f_left, f_right, b, c, p, r, q,
         alpha1=1.0, alpha2=1.0, beta=1.0, eta=1.0)
 
 
+class Row(NamedTuple):
+    """Coefficients of (U_{i-1}, U_i, U_{i+1}) in one row, plus its right side."""
+
+    w_minus: float
+    w_center: float
+    w_plus: float
+    forcing: float
+
+
 def assembled_row(spec, mesh, i, t_mid, dt, u_prev):
     """Row i of the assembled step around t_mid, un-negated to operator form."""
     sys = assemble(spec, mesh, t_mid + dt / 2, dt, u_prev)
-    return StencilWeights(-sys.sub[i], -sys.diag[i], -sys.sup[i], -sys.rhs[i])
+    return Row(-sys.sub[i], -sys.diag[i], -sys.sup[i], -sys.rhs[i])
 
 
 def oracle_assemble(spec, mesh, t_next, dt, u_prev):
@@ -181,11 +191,7 @@ class TestInteriorRow:
 
 class TestDiscontinuityRow:
     def test_symmetric_steps(self):
-        row = discontinuity_row(nine_point_mesh())
-        assert row.w_minus == -8.0
-        assert row.w_center == 16.0
-        assert row.w_plus == -8.0
-        assert row.forcing == 0.0
+        assert discontinuity_row(nine_point_mesh()) == (-8.0, 16.0, -8.0)
 
     @given(slope=st.floats(-1e3, 1e3), intercept=st.floats(-1e3, 1e3),
            theta=st.floats(500.0, 1e5))
@@ -194,11 +200,11 @@ class TestDiscontinuityRow:
         from layersolve import build_mesh, transition_points
         lay = LayerParams(theta, theta)
         mesh = build_mesh(lay, transition_points(lay, 32, 0.5), 32, 0.5)
-        row = discontinuity_row(mesh)
+        w_minus, w_center, w_plus = discontinuity_row(mesh)
         mid = 16
         profile = slope * mesh.points + intercept
-        residual = (row.w_minus * profile[mid - 1] + row.w_center * profile[mid]
-                    + row.w_plus * profile[mid + 1])
+        residual = (w_minus * profile[mid - 1] + w_center * profile[mid]
+                    + w_plus * profile[mid + 1])
         scale = max(1.0, abs(slope), abs(intercept)) / min(mesh.h[mid], 1.0)
         assert abs(residual) <= 1e-12 * scale
 
@@ -214,10 +220,9 @@ class TestDiscontinuityRow:
         h32 = 0.5 - x31
         h33 = x33 - 0.5
         assert h32 == pytest.approx(h33, rel=1e-12)
-        row = discontinuity_row(mesh)
-        assert row.w_minus == pytest.approx(-1.0 / h32, rel=1e-12)
-        assert row.w_center == pytest.approx(2.0 / h32, rel=1e-12)
-        assert row.forcing == 0.0
+        w_minus, w_center, _ = discontinuity_row(mesh)
+        assert w_minus == pytest.approx(-1.0 / h32, rel=1e-12)
+        assert w_center == pytest.approx(2.0 / h32, rel=1e-12)
 
 
 class TestAssemble:
@@ -234,10 +239,7 @@ class TestAssemble:
             assert sys.diag[i] == pytest.approx(diag[i], rel=1e-14)
             assert sys.sup[i] == pytest.approx(sup[i], rel=1e-14)
             assert sys.rhs[i] == pytest.approx(rhs[i], rel=1e-13)
-        row = discontinuity_row(mesh)
-        assert sys.sub[32] == row.w_minus
-        assert sys.diag[32] == row.w_center
-        assert sys.sup[32] == row.w_plus
+        assert (sys.sub[32], sys.diag[32], sys.sup[32]) == discontinuity_row(mesh)
         assert sys.rhs[32] == 0.0
 
     def test_matches_independent_oracle(self):

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import layersolve
-from layersolve import TridiagonalSystem, ZeroPivot, thomas_factor, thomas_solve
+from layersolve import (TridiagonalSystem, ZeroPivot, derive_regime, lookup,
+                        spatial_mesh_for, thomas_factor, thomas_solve)
 from layersolve import solver
+from layersolve.discretization import build_operator, sample_coefficients
 
 HAVE_CC = shutil.which("cc") is not None
 KERNELS = [solver._PYTHON_KERNEL] + ([solver._KERNEL] if solver.KERNEL == "c" else [])
@@ -102,6 +104,23 @@ class TestBitwiseEqualKernels:
             differ += (contracted.solve(sys)[0].tobytes()
                        != solver._PYTHON_KERNEL.solve(sys)[0].tobytes())
         assert differ == 50
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_step_operator_and_factors_are_read_only(monkeypatch, kernel):
+    monkeypatch.setattr(solver, "_KERNEL", kernel)
+    spec = lookup("example1", 1e-8, 1e-6)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
+    op = build_operator(spec, mesh, 1.0 / 64,
+                        sample_coefficients(spec, mesh, 0.5 / 64))
+    # the operator's bands before .system() is called, then the factors
+    for field in (op.sub, op.diag, op.sup, op.c4dt):
+        with pytest.raises(ValueError):
+            field[5] = 0.0
+    factors = thomas_factor(op.system(np.zeros(mesh.n + 1)))
+    for field in (factors.sub, factors.piv, factors.c):
+        with pytest.raises((ValueError, TypeError)):
+            field[5] = 0.0
 
 
 class TestLoader:

@@ -46,12 +46,6 @@ def make_spec(a_left=None, b=None, q=None, p=None, epsilon=1e-8, mu=1e-6):
 
 
 class TestPiecewiseField:
-    def test_jump(self):
-        field = PiecewiseField(left=lambda x, t: 1.0 + 0.0 * x,
-                               right=lambda x, t: 3.0 + t + 0.0 * x, d=0.5)
-        assert field.jump(0.0) == 2.0
-        assert field.jump(1.5) == 3.5
-
     def test_d_must_be_interior(self):
         with pytest.raises(ValueError):
             PiecewiseField(left=lambda x, t: x, right=lambda x, t: x, d=1.0)

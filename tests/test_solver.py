@@ -14,6 +14,7 @@ from layersolve import (CheckPolicy, CheckWarning, DiscreteSolution,
                         derive_regime, lookup, march, residual_max_norm,
                         spatial_mesh_for, stability_audit, thomas_factor,
                         thomas_solve, uniform_mesh, uniform_time_grid)
+from layersolve.discretization import _tridiagonal_apply
 
 
 def random_dominant_system(rng, size):
@@ -101,9 +102,7 @@ class TestThomasSolve:
         diag = np.full(n, 2.0)
         sub[0] = 0.0
         sup[-1] = 0.0
-        sys_tmp = TridiagonalSystem(sub=sub, diag=diag, sup=sup,
-                                    rhs=np.zeros(n))
-        rhs = sys_tmp.apply(x_true)
+        rhs = _tridiagonal_apply(sub, diag, sup, x_true)
         sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
         np.testing.assert_allclose(thomas_solve(sys), x_true, rtol=1e-12)
 
@@ -304,7 +303,7 @@ class TestMarch:
         spec = lookup(key, eps, mu)
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
         sol = march(spec, mesh, uniform_time_grid(1.0, 64), CheckPolicy())
-        mid = mesh.d_index
+        mid = mesh.n // 2
         h_l, h_r = mesh.h[mid], mesh.h[mid + 1]
         for j in range(1, 65):
             u = sol.values[j]
