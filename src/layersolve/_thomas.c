@@ -1,7 +1,8 @@
 /* Thomas elimination for layersolve.solver, loaded through ctypes.
 
    Each function performs the operations of the Python loop it replaces
-   (solver._solve_py and solver._resolve_py) in the same order.  Built with
+   (solver._solve_py, solver._resolve_py and solver._advance_py) in the same
+   order.  Built with
    -ffp-contract=off, so that no a - b*c becomes a fused multiply-add, it
    returns bitwise the same doubles as those loops. */
 #include <math.h>
@@ -48,4 +49,64 @@ void thomas_resolve(long n, const double *sub, const double *piv,
     for (long i = 1; i < n; i++)
         x[i] = (rhs[i] - sub[i] * x[i - 1]) / piv[i];
     back_substitute(n, c, x);
+}
+
+/* Row i of A u as discretization._tridiagonal_apply forms it. */
+static double apply_row(long n, long i, const double *sub, const double *diag,
+                        const double *sup, const double *u)
+{
+    double y = diag[i] * u[i];
+    if (i > 0)
+        y += sub[i] * u[i - 1];
+    if (i < n - 1)
+        y += sup[i] * u[i + 1];
+    return y;
+}
+
+/* max(m, |v|), NaN once either is NaN, as numpy's max of absolute values. */
+static double max_abs(double m, double v)
+{
+    v = fabs(v);
+    return (v > m || isnan(v)) ? v : m;
+}
+
+/* Advance u (steps + 1 rows of n) by `steps` steps of one factored matrix.
+   Step k forms discretization.step_rhs into rhs from row k of u, the n - 2
+   source samples of row k of f and the boundary values ends[2k], ends[2k+1];
+   re-solves as thomas_resolve; writes max|A x - rhs|, max|rhs| and max|x|
+   into norms[k], norms[steps + k] and norms[2 steps + k]; then stores x,
+   its rows 0 and n - 1 pinned to the boundary values, as row k + 1.
+   Returns -1, or the first step whose x has a value that is not finite. */
+long thomas_advance(long steps, long n, const double *sub, const double *diag,
+                    const double *sup, const double *c4dt, const double *piv,
+                    const double *c, const double *f, const double *ends,
+                    double *u, double *rhs, double *norms)
+{
+    for (long k = 0; k < steps; k++) {
+        const double *prev = u + k * n;
+        double *x = u + (k + 1) * n;
+        double res = 0.0, rhs_max = 0.0, x_max = 0.0;
+        for (long i = 0; i < n; i++)
+            rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev);
+        for (long i = 1; i < n - 1; i++)
+            rhs[i] -= 2.0 * f[k * (n - 2) + i - 1];
+        rhs[0] = ends[2 * k];
+        rhs[n - 1] = ends[2 * k + 1];
+        rhs[(n - 1) / 2] = 0.0;
+        thomas_resolve(n, sub, piv, c, rhs, x);
+        for (long i = 0; i < n; i++)
+            if (!isfinite(x[i]))
+                return k;
+        for (long i = 0; i < n; i++) {
+            res = max_abs(res, apply_row(n, i, sub, diag, sup, x) - rhs[i]);
+            rhs_max = max_abs(rhs_max, rhs[i]);
+            x_max = max_abs(x_max, x[i]);
+        }
+        norms[k] = res;
+        norms[steps + k] = rhs_max;
+        norms[2 * steps + k] = x_max;
+        x[0] = rhs[0];
+        x[n - 1] = rhs[n - 1];
+    }
+    return -1;
 }

@@ -17,15 +17,14 @@ negated (positive diagonal, non-positive off-diagonals) so the M-matrix
 structure can be read directly off the arrays.  Row N/2 carries the
 transmission condition D+ U = D- U instead of the PDE.
 
-A step is assembled in three parts: sample a, b, c at t_mid
-(:func:`sample_coefficients`), build the matrix A from those samples
-(:func:`build_operator`), and form the right side from A itself
-(:func:`step_rhs`).  The first returns three arrays over rows 1..N-1 and
-the last samples f on the same rows; a piecewise field takes its left
-branch below N/2 and its right branch from N/2 on (:func:`_on_rows`).  Row
-N/2 is sampled like the rows right of it, then overwritten by the
-transmission row.  A march whose three arrays are bitwise equal to the
-previous step's, row N/2 included, reuses the matrix.
+A step is assembled in three parts: sample a, b, c and f at t_mid
+(:func:`sample_coefficients`), build the matrix A from the first three
+(:func:`build_operator`), and form the right side from A itself and f
+(:func:`step_rhs`).  The samples are arrays over rows 1..N-1; a piecewise
+field takes its left branch below N/2 and its right branch from N/2 on
+(:func:`_on_rows`).  Row N/2 is sampled like the rows right of it, then
+overwritten by the transmission row.  A march whose a, b and c are bitwise
+equal to the previous step's, row N/2 included, reuses the matrix.
 """
 
 from __future__ import annotations
@@ -97,26 +96,26 @@ def discontinuity_row(mesh: SpatialMesh) -> tuple[float, float, float]:
     return -1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp
 
 
-def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t: float) -> np.ndarray:
+def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t) -> np.ndarray:
     """field at (x_i, t) for i = 1..N-1: left branch below N/2, right from N/2 on."""
     mid = mesh.n // 2
     return np.concatenate((_evaluate(field.left, mesh.points[1:mid], t),
-                           _evaluate(field.right, mesh.points[mid:-1], t)))
+                           _evaluate(field.right, mesh.points[mid:-1], t)), axis=-1)
 
 
-def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh,
-                        t_mid: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a, b and c at (x_i, t_mid) for rows i = 1..N-1: three arrays.
+def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh, t_mid) -> tuple:
+    """a, b, c and f at (x_i, t_mid) for rows i = 1..N-1: four arrays.
 
-    a takes its left branch below N/2 and its right branch from N/2 on.
+    a and f take their left branch below N/2 and their right branch from
+    N/2 on.  A column of times (shape (steps, 1)) gives one row per time.
     Row N/2 is sampled but its matrix row is the transmission row, which
-    overwrites it.  Together with the mesh, dt, eps and mu the samples
+    overwrites it.  Together with the mesh, dt, eps and mu, a, b and c
     determine the step's matrix, so a march that finds all three arrays
     bitwise equal to the previous step's (row N/2 included) reuses it.
     """
     x = mesh.points[1:-1]
     return (_on_rows(spec.a, mesh, t_mid), _evaluate(spec.b, x, t_mid),
-            _evaluate(spec.c, x, t_mid))
+            _evaluate(spec.c, x, t_mid), _on_rows(spec.f, mesh, t_mid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +141,8 @@ class StepOperator:
 
 
 def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
-                   samples: tuple[np.ndarray, np.ndarray, np.ndarray]) -> StepOperator:
-    """The step matrix from :func:`sample_coefficients` output.
+                   samples: tuple) -> StepOperator:
+    """The step matrix from the a, b and c of :func:`sample_coefficients`.
 
     Rows 0 and N are identity rows, row N/2 is the transmission row and
     every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with D*
@@ -151,7 +150,7 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     """
     mid = mesh.n // 2
     eps, mu = spec.params.epsilon, spec.params.mu
-    a_v, b_v, c_v = samples
+    a_v, b_v, c_v = samples[:3]
     # entry k of each array below belongs to row k + 1
     left, right = slice(None, mid - 1), slice(mid - 1, None)
     hi = mesh.h[1:-1]
@@ -180,19 +179,18 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     return StepOperator(sub=sub, diag=diag, sup=sup, c4dt=c4dt)
 
 
-def step_rhs(spec: ProblemSpec, mesh: SpatialMesh, op: StepOperator,
-             t_next: float, dt: float, u_prev: np.ndarray) -> np.ndarray:
+def step_rhs(op: StepOperator, u_prev: np.ndarray, f: np.ndarray,
+             p: float, r: float) -> np.ndarray:
     """Right-hand side of the step advancing ``u_prev`` to t_next.
 
     On PDE rows the stored (negated) gtilde equals -2f + (4c/dt) U - A U,
-    since A's diagonal holds cbar = dbar + 4c/dt; rows 0 and N carry p and r
-    at t_next, row N/2 zero.
+    since A's diagonal holds cbar = dbar + 4c/dt, with f sampled at t_mid;
+    rows 0 and N carry the boundary values p and r at t_next, row N/2 zero.
     """
     rhs = op.c4dt * u_prev - _tridiagonal_apply(op.sub, op.diag, op.sup, u_prev)
-    rhs[1:-1] -= 2.0 * _on_rows(spec.f, mesh, t_next - 0.5 * dt)
-    rhs[0] = float(spec.p(t_next))
-    rhs[-1] = float(spec.r(t_next))
-    rhs[mesh.n // 2] = 0.0
+    rhs[1:-1] -= 2.0 * f
+    rhs[0], rhs[-1] = p, r
+    rhs[(len(rhs) - 1) // 2] = 0.0
     return rhs
 
 
@@ -209,7 +207,8 @@ def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
         raise ValueError(f"u_prev must have {n + 1} entries, got {u_prev.shape}")
     samples = sample_coefficients(spec, mesh, t_next - 0.5 * dt)
     op = build_operator(spec, mesh, dt, samples)
-    return op.system(step_rhs(spec, mesh, op, t_next, dt, u_prev))
+    return op.system(step_rhs(op, u_prev, samples[3], float(spec.p(t_next)),
+                              float(spec.r(t_next))))
 
 
 @dataclass(frozen=True)

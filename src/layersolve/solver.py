@@ -5,9 +5,9 @@ M-matrix (checked at runtime under the default policy), so elimination is
 stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
 remedy.  While a march's matrix repeats, its elimination is kept
-(:class:`ThomasFactors`) and only the forward and back sweeps run again.
+(:class:`ThomasFactors`) and each run of repeats is one ``advance`` call.
 
-The sweeps run in C (``_thomas.c``, compiled with the system ``cc`` on first
+The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
 Python loops below; both give bitwise the same doubles.  ``KERNEL`` says
 which one was loaded: ``"c"`` or ``"python"``.
@@ -52,6 +52,7 @@ PIVOT_FLOOR = 1e-300
 RESIDUAL_RTOL = 1e-10
 STABILITY_SLACK = 1e-8
 _MATRIX_RTOL = 100.0 * np.finfo(float).eps
+_CHUNK_BYTES = 128 * 1024  # per array (a, b, c or f) of a march's chunk of steps
 
 
 @dataclass(frozen=True)
@@ -198,16 +199,36 @@ def thomas_factor(sys: TridiagonalSystem) -> ThomasFactors:
     return ThomasFactors(*_eliminate(sys)[1])
 
 
+def _advance_py(op, factors, f, ends, u, audit: bool = True):
+    """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r) by
+    ``factors``, or by :func:`thomas_solve` if None.  Returns max|A x - rhs|,
+    max|rhs| and max|x| per step (zeros without ``audit``) as a (3, steps)
+    array, and the first step whose x is not finite, or -1."""
+    norms = np.zeros((3, len(f)))
+    for k, (p, r) in enumerate(ends.tolist()):
+        sys = op.system(step_rhs(op, u[k], f[k], p, r))
+        x = thomas_solve(sys) if factors is None else factors.solve(sys.rhs)
+        if not np.all(np.isfinite(x)):
+            return norms, k
+        if audit:
+            norms[:, k] = (residual_max_norm(sys, x), np.max(np.abs(sys.rhs)),
+                           np.max(np.abs(x)))
+        x[0], x[-1] = p, r
+        u[k + 1] = x
+    return norms, -1
+
+
 class _Kernel(NamedTuple):
-    """A fused solve, ``solve(sys) -> (x, factors)``, and the re-solve
-    ``resolve(*factors, rhs) -> x`` on the factors it returned."""
+    """A fused solve, ``solve(sys) -> (x, factors)``, the re-solve ``resolve(
+    *factors, rhs) -> x`` on its factors, and ``advance`` (:func:`_advance_py`)."""
 
     name: str
     solve: Callable
     resolve: Callable
+    advance: Callable
 
 
-_PYTHON_KERNEL = _Kernel("python", _solve_py, _resolve_py)
+_PYTHON_KERNEL = _Kernel("python", _solve_py, _resolve_py, _advance_py)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
 # -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
@@ -216,12 +237,14 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
-    """Wrap ``thomas_solve`` and ``thomas_resolve`` of the compiled source."""
-    c_solve, c_resolve = lib.thomas_solve, lib.thomas_resolve
+    """Wrap ``thomas_solve``, ``thomas_resolve`` and ``thomas_advance``."""
+    c_solve, c_resolve, c_advance = lib.thomas_solve, lib.thomas_resolve, lib.thomas_advance
     c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
     c_solve.restype = ctypes.c_long
     c_resolve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
     c_resolve.restype = None
+    c_advance.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 11
+    c_advance.restype = ctypes.c_long
 
     def solve(sys):
         bands = [np.ascontiguousarray(a, dtype=float)
@@ -238,7 +261,18 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
         c_resolve(len(piv), *[a.ctypes.data for a in arrays + [x]])
         return x
 
-    return _Kernel("c", solve, resolve)
+    def advance(op, factors, f, ends, u):
+        steps, n = len(f), len(op.diag)
+        shapes = (u.shape, np.shape(f), np.shape(ends), len(factors.piv))
+        if shapes != ((steps + 1, n), (steps, n - 2), (steps, 2), n) or not (
+                u.dtype == float and u.flags.c_contiguous and u.flags.writeable):
+            raise ValueError(f"advance got shapes {shapes} or a read-only u")
+        arrays = [np.ascontiguousarray(a, dtype=float) for a in
+                  (op.sub, op.diag, op.sup, op.c4dt, factors.piv, factors.c, f, ends)]
+        arrays += [u, np.empty(n), norms := np.empty((3, steps))]
+        return norms, c_advance(steps, n, *[a.ctypes.data for a in arrays])
+
+    return _Kernel("c", solve, resolve, advance)
 
 
 def _load_kernel(directory: str) -> _Kernel:
@@ -325,74 +359,81 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
 
     values[0] is q sampled on the mesh; each later level solves one
     Crank-Nicolson system.  Boundary entries are assigned from p and r, not
-    solved.  a, b and c are sampled once per step; while the samples stay
-    bitwise equal to the previous step's, the matrix, its M-matrix verdict
-    and (from the first repeat on) its Thomas factors are reused, which
-    gives bitwise the same values as solving every step afresh.  Audits run
-    per the policy; :func:`stability_audit` runs once, on the finished values.
+    solved.  a, b, c and f are sampled a chunk of steps at a time.  A step
+    whose a, b and c equal the previous step's bitwise reuses its matrix, its
+    M-matrix verdict and its Thomas factors; each run of such steps in a
+    chunk is one ``advance`` call, bitwise equal to solving every step
+    afresh.  Residual failures in a run surface after it, first step first.
+    :func:`stability_audit` runs once, on the finished values.
     """
     n = mesh.n
+    where = f"(N={n}, M={grid.m})"
     values = np.empty((grid.m + 1, n + 1))
     values[0] = _evaluate(spec.q, mesh.points)
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteValue("initial data contains non-finite values")
 
-    key = op = factors = row_scale = None
-    for j in range(grid.m):
-        t_next = float(grid.times[j + 1])
-        samples = sample_coefficients(spec, mesh, t_next - 0.5 * grid.dt)
-        new_key = tuple(arr.tobytes() for arr in samples)
-        reused = new_key == key
-        if not reused:
-            key = new_key
-            op = build_operator(spec, mesh, grid.dt, samples)
-            factors = None
+    chunk = max(1, _CHUNK_BYTES // (8 * (n - 1)))
+    prev = op = factors = row_scale = None
+    for j0 in range(0, grid.m, chunk):
+        t_next = grid.times[j0 + 1:j0 + 1 + chunk]
+        t_mid = t_next - 0.5 * grid.dt
+        try:  # one call per callable and branch on the (steps x rows) grid
+            *coefs, f = sample_coefficients(spec, mesh, t_mid[:, None])
+        except (TypeError, ValueError):  # a callable that takes only a float t
+            *coefs, f = map(np.stack, zip(*(sample_coefficients(spec, mesh, t)
+                                            for t in t_mid.tolist())))
+        ends = np.array([(float(spec.p(t)), float(spec.r(t))) for t in t_next.tolist()])
+        # a new matrix wherever a, b or c differ bitwise from the step before
+        new = np.zeros(len(f), dtype=bool)
+        for i, x in enumerate(coefs):
+            bits = x.view(np.int64)
+            new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+            new[0] |= prev is None or bool((bits[0] != prev[i]).any())
+        prev = [x[-1].view(np.int64).copy() for x in coefs]
+        # segments: each step with a new matrix, each run of repeats
+        edges = [0, *(np.flatnonzero(new[1:] | new[:-1]) + 1).tolist(), len(f)]
+        for k, e in zip(edges, edges[1:]):
+            j, run = j0 + k, (f[k:e], ends[k:e], values[j0 + k:j0 + e + 1])
+            try:
+                if new[k]:
+                    op = build_operator(spec, mesh, grid.dt, [x[k] for x in coefs])
+                    factors = None
+                    if checks.audit:
+                        row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
+                                                 + np.abs(op.sup)))
+                        report = m_matrix_check(op.system(np.zeros(n + 1)))
+                        if not report.passed:
+                            _fail(checks.strict, MMatrixViolation,
+                                  f"M-matrix check failed at step j={j} {where}: "
+                                  f"{report.violations[:3]}")
+                    norms, bad = _advance_py(op, None, *run, audit=checks.audit)
+                else:
+                    # factored on the first repeat only, so a march whose
+                    # matrix changes every step never stores pivots
+                    factors = factors or thomas_factor(op.system(np.zeros(n + 1)))
+                    norms, bad = _KERNEL.advance(op, factors, *run)
+            except ZeroPivot as exc:
+                raise ZeroPivot(exc.row, f"zero pivot at row {exc.row}, step j={j} "
+                                f"{where}") from exc
             if checks.audit:
-                row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
-                                         + np.abs(op.sup)))
-        sys = op.system(step_rhs(spec, mesh, op, t_next, grid.dt, values[j]))
-        # an unchanged matrix has already had its verdict
-        if checks.audit and not reused:
-            report = m_matrix_check(sys)
-            if not report.passed:
-                _fail(checks.strict, MMatrixViolation,
-                      f"M-matrix check failed at step j={j} (N={n}, M={grid.m}): "
-                      f"{report.violations[:3]}")
-        try:
-            if not reused:
-                u = thomas_solve(sys)
-            else:
-                # factored on the first repeat only, so a march whose matrix
-                # changes every step never stores pivots
-                if factors is None:
-                    factors = thomas_factor(sys)
-                u = factors.solve(sys.rhs)
-        except ZeroPivot as exc:
-            raise ZeroPivot(exc.row,
-                            f"zero pivot at row {exc.row}, step j={j} "
-                            f"(N={n}, M={grid.m})") from exc
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteValue(f"non-finite value at step j={j} (N={n}, M={grid.m})")
-        if checks.audit:
-            res = residual_max_norm(sys, u)
-            # rhs-anchored tolerance, plus a matrix-scale term for degenerate
-            # (eps ~ 1) instances whose matrix entries dwarf the rhs
-            tol = (RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(sys.rhs))))
-                   + _MATRIX_RTOL * row_scale * (1.0 + float(np.max(np.abs(u)))))
-            if res > tol:
-                _fail(checks.strict, ResidualViolation,
-                      f"solve residual {res:.3e} exceeds {tol:.3e} at step j={j} "
-                      f"(N={n}, M={grid.m})")
-        u[0] = sys.rhs[0]
-        u[n] = sys.rhs[n]
-        values[j + 1] = u
+                res, rhs_max, x_max = norms[:, :bad] if bad >= 0 else norms
+                # rhs-anchored tolerance, plus a matrix-scale term for degenerate
+                # (eps ~ 1) instances whose matrix entries dwarf the rhs
+                tol = RESIDUAL_RTOL * (1.0 + rhs_max) + _MATRIX_RTOL * row_scale * (1.0 + x_max)
+                for i in np.flatnonzero(res > tol).tolist():
+                    _fail(checks.strict, ResidualViolation,
+                          f"solve residual {res[i]:.3e} exceeds {tol[i]:.3e} "
+                          f"at step j={j + i} {where}")
+            if bad >= 0:
+                raise NonFiniteValue(f"non-finite value at step j={j + bad} {where}")
     sol = DiscreteSolution(mesh=mesh, grid=grid, values=values)
     if checks.audit and not (report := stability_audit(sol, spec)).passed:
         # step j produces level j + 1
         levels = np.maximum(values[1:].max(axis=1), -values[1:].min(axis=1))
         _fail(checks.strict, StabilityViolation,
               f"max|U| {report.max_abs:.6g} exceeds stability bound {report.bound:.6g}, "
-              f"first at step j={int(np.argmax(levels > report.bound))} (N={n}, M={grid.m})")
+              f"first at step j={int(np.argmax(levels > report.bound))} {where}")
     return sol
 
 

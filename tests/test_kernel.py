@@ -2,8 +2,10 @@
 the loader that builds it on first import."""
 
 import ctypes
+import dataclasses
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import layersolve
-from layersolve import (TridiagonalSystem, ZeroPivot, derive_regime, lookup,
-                        spatial_mesh_for, thomas_factor, thomas_solve)
+from layersolve import (CheckPolicy, CheckWarning, NonFiniteValue, PiecewiseField,
+                        ResidualViolation, TridiagonalSystem, ZeroPivot,
+                        derive_regime, lookup, march, spatial_mesh_for,
+                        thomas_factor, thomas_solve, uniform_time_grid)
 from layersolve import solver
 from layersolve.discretization import build_operator, sample_coefficients
 
@@ -106,6 +110,29 @@ class TestBitwiseEqualKernels:
         assert differ == 50
 
 
+@pytest.mark.parametrize("nan_step", [None, 4])
+def test_advance_agrees_bitwise(monkeypatch, nan_step):
+    """Values, per-step norms and the first non-finite step of one run."""
+    spec = lookup("example1", 1e-8, 1e-6)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
+    op = build_operator(spec, mesh, 1.0 / 64, sample_coefficients(spec, mesh, 0.5 / 64))
+    rng = np.random.default_rng(3)
+    start = rng.uniform(-1.0, 1.0, 65)
+    f = rng.uniform(-5.0, 5.0, (6, 63))
+    ends = rng.uniform(-1.0, 1.0, (6, 2))
+    if nan_step is not None:
+        f[nan_step, 10] = np.nan
+    results = set()
+    for kernel in KERNELS:
+        monkeypatch.setattr(solver, "_KERNEL", kernel)
+        u = np.zeros((7, 65))
+        u[0] = start
+        norms, bad = kernel.advance(op, thomas_factor(op.system(np.zeros(65))), f, ends, u)
+        done = 6 if bad < 0 else bad  # steps after a non-finite one are not taken
+        results.add((bad, norms[:, :done].tobytes(), u[:done + 1].tobytes()))
+    assert [bad for bad, _, _ in results] == [-1 if nan_step is None else nan_step]
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 def test_step_operator_and_factors_are_read_only(monkeypatch, kernel):
     monkeypatch.setattr(solver, "_KERNEL", kernel)
@@ -121,6 +148,66 @@ def test_step_operator_and_factors_are_read_only(monkeypatch, kernel):
     for field in (factors.sub, factors.piv, factors.c):
         with pytest.raises((ValueError, TypeError)):
             field[5] = 0.0
+
+
+def example1_with_f(f_of):
+    """example1 at N = 32, M = 8 (one matrix: step 0 builds it, steps 1-7
+    re-solve it in one run), its source branches passed through f_of(t, f)."""
+    base = lookup("example1", 1e-8, 1e-6)
+    spec = dataclasses.replace(base, f=PiecewiseField(
+        left=lambda x, t: f_of(t, base.f.left(x, t)),
+        right=lambda x, t: f_of(t, base.f.right(x, t)), d=base.d))
+    mesh = spatial_mesh_for(derive_regime(base), base.params, 32, base.d)
+    return spec, mesh, uniform_time_grid(1.0, 8)
+
+
+def audit_stream(monkeypatch, kernel, checks, spec, mesh, grid):
+    """The error a march raises (type and message) and the CheckWarning
+    messages it emits, in order, under ``kernel``."""
+    monkeypatch.setattr(solver, "_KERNEL", kernel)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            march(spec, mesh, grid, checks)
+            error = None
+        except (NonFiniteValue, ResidualViolation) as exc:
+            error = (type(exc), str(exc))
+    return error, [str(w.message) for w in caught if w.category is CheckWarning]
+
+
+class TestAuditStream:
+    """Both kernels raise and warn alike when a run of re-solves fails."""
+
+    @pytest.mark.parametrize("checks", [CheckPolicy(), CheckPolicy.strict_policy()],
+                             ids=["warn", "strict"])
+    def test_nan_in_a_run_names_its_step(self, monkeypatch, checks):
+        grid = uniform_time_grid(1.0, 8)
+        t_bad = grid.times[6] - 0.5 * grid.dt  # t_mid of step j = 5, inside the run
+        spec, mesh, grid = example1_with_f(lambda t, f: np.where(t == t_bad, np.nan, f))
+        streams = [audit_stream(monkeypatch, kernel, checks, spec, mesh, grid)
+                   for kernel in KERNELS]
+        assert streams[0] == ((NonFiniteValue, "non-finite value at step j=5 "
+                                               "(N=32, M=8)"), [])
+        assert all(stream == streams[0] for stream in streams)
+
+    @pytest.mark.parametrize("checks", [CheckPolicy(), CheckPolicy.strict_policy()],
+                             ids=["warn", "strict"])
+    def test_failing_residuals_in_a_run(self, monkeypatch, checks):
+        # zero tolerance; f = 0 before t = 1/2 leaves steps 0-3 at U = 0
+        # with a zero residual, so the first failure is step 4, in the run
+        monkeypatch.setattr(solver, "RESIDUAL_RTOL", 0.0)
+        monkeypatch.setattr(solver, "_MATRIX_RTOL", 0.0)
+        spec, mesh, grid = example1_with_f(lambda t, f: np.where(t < 0.5, 0.0, f))
+        streams = [audit_stream(monkeypatch, kernel, checks, spec, mesh, grid)
+                   for kernel in KERNELS]
+        error, messages = streams[0]
+        if checks.strict:
+            assert error[0] is ResidualViolation and "at step j=4 (" in error[1]
+            assert messages == []
+        else:
+            assert error is None
+            assert messages and "at step j=4 (" in messages[0]
+        assert all(stream == streams[0] for stream in streams)
 
 
 class TestLoader:

@@ -7,14 +7,17 @@ case (i).  The source and the data (f, p, r, q) are linear in a coefficient
 vector, which is what the linearity property varies.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (CheckPolicy, PerturbationParams, PiecewiseField,
                         ProblemSpec, RegimeCase, assemble, derive_regime,
-                        m_matrix_check, march, spatial_mesh_for, stability_audit,
-                        uniform_time_grid, validate)
+                        m_matrix_check, march, solver, spatial_mesh_for,
+                        stability_audit, uniform_time_grid, validate)
 
 N, M = 16, 8
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -91,3 +94,45 @@ def test_march_is_linear_in_the_data(shape, data, other, k):
     both = march(make_spec(shape, data + k * other), mesh, grid, off).values
     scale = np.max(np.abs(one)) + abs(k) * np.max(np.abs(two))
     np.testing.assert_allclose(both, one + k * two, rtol=0, atol=1e-10 * (1.0 + scale))
+
+
+KERNELS = [solver._PYTHON_KERNEL] + ([solver._KERNEL] if solver.KERNEL == "c" else [])
+
+
+def with_reuse_runs(spec, t_jump):
+    """spec with a and c frozen at t = 0 and b one higher from t_jump on: one
+    matrix until t_jump, another after it."""
+    a, b, c = spec.a, spec.b, spec.c
+    return dataclasses.replace(
+        spec, a=PiecewiseField(left=lambda x, t: a.left(x, 0.0),
+                               right=lambda x, t: a.right(x, 0.0), d=spec.d),
+        b=lambda x, t: b(x, 0.0) + np.where(t < t_jump, 0.0, 1.0),
+        c=lambda x, t: c(x, 0.0))
+
+
+@PROPERTY
+@given(shapes, data_vectors)
+def test_march_is_bitwise_equal_under_both_kernels(shape, data):
+    spec = make_spec(shape, data)
+    mesh, grid = mesh_and_grid(spec)
+    # chunks of 3 steps: 0-2, 3-5 and a ragged 6-7; the variant's matrix
+    # changes at step 4, so its runs are 1-2, 3 (continuing across the
+    # chunk boundary), 5 (after a new matrix mid-chunk) and 6-7
+    variant = with_reuse_runs(spec, 4.0 * grid.dt)
+    for case, run_lengths in ((spec, None), (variant, [2, 1, 1, 2])):
+        results = set()
+        for kernel in KERNELS:
+            calls = []
+
+            def advance(*args, kernel=kernel):
+                calls.append(len(args[2]))
+                return kernel.advance(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_KERNEL", kernel._replace(advance=advance))
+                mp.setattr(solver, "_CHUNK_BYTES", 3 * 8 * (N - 1))
+                sol = march(case, mesh, grid, CheckPolicy.strict_policy())
+            results.add(sol.values.tobytes())
+            if run_lengths is not None:
+                assert calls == run_lengths
+        assert len(results) == 1

@@ -463,6 +463,19 @@ class TestStabilityAudit:
             tracemalloc.stop()
         assert peak < 0.5 * values.nbytes
 
+    def test_audited_march_allocates_at_most_1mb_beyond_its_values(self):
+        # the march of `solve` at N = M = 1024: samples are taken a chunk of
+        # steps at a time, never for the whole march (8.4 MB of f alone)
+        spec = lookup("example1", 1e-8, 1e-6)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 1024, spec.d)
+        tracemalloc.start()
+        try:
+            sol = march(spec, mesh, uniform_time_grid(1.0, 1024), CheckPolicy())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sol.values.nbytes <= 1 << 20
+
     @pytest.mark.parametrize("case", ["signed-zeros", "finite", "nan"])
     def test_max_abs_is_bitwise_numpy_abs_max(self, case):
         values = np.full((5, 17), -0.0)
