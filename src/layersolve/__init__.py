@@ -26,7 +26,6 @@ from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       derive_regime, validate)
 from .registry import ManufacturedProblem, lookup, manufactured_sine
 from .solver import (KERNEL, AuditReport, CheckPolicy, DiscreteSolution,
-                     ThomasFactors, march, residual_max_norm, stability_audit,
-                     thomas_factor, thomas_solve)
+                     march, residual_max_norm, stability_audit, thomas_solve)
 
 __version__ = "0.1.0"

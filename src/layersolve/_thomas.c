@@ -1,10 +1,8 @@
-/* Thomas elimination for layersolve.solver, loaded through ctypes.
-
-   Each function performs the operations of the Python loop it replaces
-   (solver._solve_py, solver._resolve_py and solver._advance_py) in the same
-   order.  Built with
-   -ffp-contract=off, so that no a - b*c becomes a fused multiply-add, it
-   returns bitwise the same doubles as those loops. */
+/* Thomas elimination for layersolve.solver, loaded through ctypes.  Each
+   function performs the operations of the Python loop it replaces
+   (solver._solve_py, _resolve_py and _advance_py) in the same order; built
+   with -ffp-contract=off, so that no a - b*c becomes a fused multiply-add,
+   it returns bitwise the same doubles as those loops. */
 #include <math.h>
 
 #define PIVOT_FLOOR 1e-300 /* solver.PIVOT_FLOOR */
@@ -40,9 +38,8 @@ long thomas_solve(long n, const double *sub, const double *diag,
     return -1;
 }
 
-/* The forward and back sweeps of thomas_solve on its stored sub, pivots and
-   multipliers, for a new right-hand side. */
-void thomas_resolve(long n, const double *sub, const double *piv,
+/* thomas_solve's sweeps on its sub, pivots and multipliers for a new rhs. */
+static void resolve(long n, const double *sub, const double *piv,
                     const double *c, const double *rhs, double *x)
 {
     x[0] = rhs[0] / piv[0];
@@ -70,34 +67,37 @@ static double max_abs(double m, double v)
     return (v > m || isnan(v)) ? v : m;
 }
 
-/* Advance u (steps + 1 rows of n) by `steps` steps of one factored matrix.
-   Step k forms discretization.step_rhs into rhs from row k of u, the n - 2
-   source samples of row k of f and the boundary values ends[2k], ends[2k+1];
-   re-solves as thomas_resolve; writes max|A x - rhs|, max|rhs| and max|x|
-   into norms[k], norms[steps + k] and norms[2 steps + k]; then stores x,
-   its rows 0 and n - 1 pinned to the boundary values, as row k + 1.
-   Returns -1, or the first step whose x has a value that is not finite. */
-long thomas_advance(long steps, long n, const double *sub, const double *diag,
-                    const double *sup, const double *c4dt, const double *piv,
-                    const double *c, const double *f, const double *ends,
-                    double *u, double *rhs, double *norms)
+/* Advance u (steps + 1 rows of n) by `steps` steps of one matrix.  Step k
+   forms discretization.step_rhs into rhs from row k of u, the n - 2 source
+   samples of row k of f and the boundary values ends[2k], ends[2k+1]; solves
+   as thomas_solve at k = 0, which writes c and piv, and as resolve after;
+   writes max|A x - rhs|, max|rhs| and max|x| (zeros without audit) into
+   norms[k], norms[steps + k] and norms[2 steps + k]; then stores x, rows 0
+   and n - 1 pinned to the boundary values, as row k + 1.  Returns -1, the
+   first step whose x is not finite, or -2 - row for a zero pivot at row. */
+long thomas_advance(long steps, long n, long audit, const double *sub,
+                    const double *diag, const double *sup, const double *c4dt,
+                    const double *f, const double *ends, double *u,
+                    double *rhs, double *c, double *piv, double *norms)
 {
-    for (long k = 0; k < steps; k++) {
+    for (long k = 0, row; k < steps; k++) {
         const double *prev = u + k * n;
         double *x = u + (k + 1) * n;
         double res = 0.0, rhs_max = 0.0, x_max = 0.0;
-        for (long i = 0; i < n; i++)
-            rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev);
         for (long i = 1; i < n - 1; i++)
-            rhs[i] -= 2.0 * f[k * (n - 2) + i - 1];
+            rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
+                     - 2.0 * f[k * (n - 2) + i - 1];
         rhs[0] = ends[2 * k];
         rhs[n - 1] = ends[2 * k + 1];
         rhs[(n - 1) / 2] = 0.0;
-        thomas_resolve(n, sub, piv, c, rhs, x);
+        if (k)
+            resolve(n, sub, piv, c, rhs, x);
+        else if ((row = thomas_solve(n, sub, diag, sup, rhs, c, piv, x)) >= 0)
+            return -2 - row;
         for (long i = 0; i < n; i++)
             if (!isfinite(x[i]))
                 return k;
-        for (long i = 0; i < n; i++) {
+        for (long i = 0; audit && i < n; i++) {
             res = max_abs(res, apply_row(n, i, sub, diag, sup, x) - rhs[i]);
             rhs_max = max_abs(rhs_max, rhs[i]);
             x_max = max_abs(x_max, x[i]);

@@ -4,8 +4,9 @@ Thomas elimination is used without pivoting: every assembled system is an
 M-matrix (checked at runtime under the default policy), so elimination is
 stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
-remedy.  While a march's matrix repeats, its elimination is kept
-(:class:`ThomasFactors`) and each run of repeats is one ``advance`` call.
+remedy.  A march advances each step with a new matrix, together with the
+steps that repeat that matrix, in one kernel ``advance`` call: a fused
+elimination for the first step, re-solves on its pivots for the rest.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
@@ -22,7 +23,7 @@ import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "CheckPolicy",
     "DiscreteSolution",
     "thomas_solve",
-    "ThomasFactors",
-    "thomas_factor",
     "residual_max_norm",
     "march",
     "AuditReport",
@@ -99,14 +98,9 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     Raises ZeroPivot (with the row index) when an eliminated pivot has
     magnitude below PIVOT_FLOOR.  Boundary identity rows come back bit-exact.
     """
-    return _eliminate(sys)[0]
-
-
-def _eliminate(sys: TridiagonalSystem):
-    """The loaded kernel's fused solve: (x, (sub, pivots, multipliers))."""
     if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
-    return _KERNEL.solve(sys)
+    return _KERNEL.solve(sys)[0]
 
 
 def _solve_py(sys: TridiagonalSystem):
@@ -158,56 +152,19 @@ def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
     return np.array(x)
 
 
-@dataclass(frozen=True, eq=False)
-class ThomasFactors:
-    """The pivots and multipliers of one Thomas elimination.
-
-    ``solve`` repeats :func:`thomas_solve`'s forward and back sweeps for a
-    new right-hand side with the same operations in the same order, so its
-    result is bitwise equal to ``thomas_solve`` on the same system.  The
-    fields are read-only: the C kernel's arrays or the Python loops' tuples.
-    """
-
-    sub: Sequence[float]
-    piv: Sequence[float]
-    c: Sequence[float]
-
-    def __post_init__(self):
-        # the compiled re-solve reads len(piv) entries of each
-        if not 3 <= len(self.piv) == len(self.sub) == len(self.c):
-            raise ValueError("sub, piv and c must have one length, at least 3")
-        for name in ("sub", "piv", "c"):
-            arr = getattr(self, name)
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-            else:
-                object.__setattr__(self, name, tuple(arr))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if np.shape(rhs) != (len(self.piv),):
-            raise ValueError(f"rhs must have {len(self.piv)} entries, "
-                             f"got shape {np.shape(rhs)}")
-        return _KERNEL.resolve(self.sub, self.piv, self.c, rhs)
-
-
-def thomas_factor(sys: TridiagonalSystem) -> ThomasFactors:
-    """Eliminate the matrix of ``sys`` once; its right-hand side is ignored.
-
-    Raises ZeroPivot (with the row index) exactly where :func:`thomas_solve`
-    would on the same matrix, since it runs the same elimination.
-    """
-    return ThomasFactors(*_eliminate(sys)[1])
-
-
-def _advance_py(op, factors, f, ends, u, audit: bool = True):
-    """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r) by
-    ``factors``, or by :func:`thomas_solve` if None.  Returns max|A x - rhs|,
-    max|rhs| and max|x| per step (zeros without ``audit``) as a (3, steps)
-    array, and the first step whose x is not finite, or -1."""
+def _advance_py(op, f, ends, u, audit):
+    """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r): by
+    :func:`_solve_py` at k = 0, by :func:`_resolve_py` on its factors after.
+    Returns max|A x - rhs|, max|rhs| and max|x| per step (zeros without
+    ``audit``) as a (3, steps) array, and the first step whose x is not
+    finite, or -1."""
     norms = np.zeros((3, len(f)))
     for k, (p, r) in enumerate(ends.tolist()):
         sys = op.system(step_rhs(op, u[k], f[k], p, r))
-        x = thomas_solve(sys) if factors is None else factors.solve(sys.rhs)
+        if k == 0:
+            x, factors = _solve_py(sys)
+        else:
+            x = _resolve_py(*factors, sys.rhs)
         if not np.all(np.isfinite(x)):
             return norms, k
         if audit:
@@ -219,16 +176,15 @@ def _advance_py(op, factors, f, ends, u, audit: bool = True):
 
 
 class _Kernel(NamedTuple):
-    """A fused solve, ``solve(sys) -> (x, factors)``, the re-solve ``resolve(
-    *factors, rhs) -> x`` on its factors, and ``advance`` (:func:`_advance_py`)."""
+    """A fused solve, ``solve(sys) -> (x, factors)``, and ``advance``
+    (:func:`_advance_py`), which raises ZeroPivot like ``solve``."""
 
     name: str
     solve: Callable
-    resolve: Callable
     advance: Callable
 
 
-_PYTHON_KERNEL = _Kernel("python", _solve_py, _resolve_py, _advance_py)
+_PYTHON_KERNEL = _Kernel("python", _solve_py, _advance_py)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
 # -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
@@ -237,13 +193,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
-    """Wrap ``thomas_solve``, ``thomas_resolve`` and ``thomas_advance``."""
-    c_solve, c_resolve, c_advance = lib.thomas_solve, lib.thomas_resolve, lib.thomas_advance
+    """Wrap ``thomas_solve`` and ``thomas_advance``."""
+    c_solve, c_advance = lib.thomas_solve, lib.thomas_advance
     c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
     c_solve.restype = ctypes.c_long
-    c_resolve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5
-    c_resolve.restype = None
-    c_advance.argtypes = [ctypes.c_long] * 2 + [ctypes.c_void_p] * 11
+    c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_void_p] * 11
     c_advance.restype = ctypes.c_long
 
     def solve(sys):
@@ -255,24 +209,22 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
             raise ZeroPivot(row)
         return x, (bands[0], piv, c)
 
-    def resolve(sub, piv, c, rhs):
-        arrays = [np.ascontiguousarray(a, dtype=float) for a in (sub, piv, c, rhs)]
-        x = np.empty(len(piv))
-        c_resolve(len(piv), *[a.ctypes.data for a in arrays + [x]])
-        return x
-
-    def advance(op, factors, f, ends, u):
+    def advance(op, f, ends, u, audit):
         steps, n = len(f), len(op.diag)
-        shapes = (u.shape, np.shape(f), np.shape(ends), len(factors.piv))
-        if shapes != ((steps + 1, n), (steps, n - 2), (steps, 2), n) or not (
+        bands = [np.ascontiguousarray(a, dtype=float) for a in
+                 (op.sub, op.diag, op.sup, op.c4dt)]
+        shapes = (u.shape, np.shape(f), np.shape(ends), {len(a) for a in bands})
+        if shapes != ((steps + 1, n), (steps, n - 2), (steps, 2), {n}) or not (
                 u.dtype == float and u.flags.c_contiguous and u.flags.writeable):
             raise ValueError(f"advance got shapes {shapes} or a read-only u")
-        arrays = [np.ascontiguousarray(a, dtype=float) for a in
-                  (op.sub, op.diag, op.sup, op.c4dt, factors.piv, factors.c, f, ends)]
-        arrays += [u, np.empty(n), norms := np.empty((3, steps))]
-        return norms, c_advance(steps, n, *[a.ctypes.data for a in arrays])
+        arrays = bands + [np.ascontiguousarray(a, dtype=float) for a in (f, ends)]
+        arrays += [u, *np.empty((3, n)), norms := np.empty((3, steps))]
+        bad = c_advance(steps, n, bool(audit), *[a.ctypes.data for a in arrays])
+        if bad < -1:
+            raise ZeroPivot(-2 - bad)
+        return norms, bad
 
-    return _Kernel("c", solve, resolve, advance)
+    return _Kernel("c", solve, advance)
 
 
 def _load_kernel(directory: str) -> _Kernel:
@@ -360,10 +312,11 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     values[0] is q sampled on the mesh; each later level solves one
     Crank-Nicolson system.  Boundary entries are assigned from p and r, not
     solved.  a, b, c and f are sampled a chunk of steps at a time.  A step
-    whose a, b and c equal the previous step's bitwise reuses its matrix, its
-    M-matrix verdict and its Thomas factors; each run of such steps in a
-    chunk is one ``advance`` call, bitwise equal to solving every step
-    afresh.  Residual failures in a run surface after it, first step first.
+    whose a, b and c equal the previous step's bitwise reuses its matrix and
+    its M-matrix verdict.  Each segment of a chunk, a step with a new matrix
+    or the chunk's first step, with the repeats after it, is one kernel
+    ``advance`` call, bitwise equal to solving every step afresh.  Residual
+    failures in a segment surface after it, first step first.
     :func:`stability_audit` runs once, on the finished values.
     """
     n = mesh.n
@@ -374,7 +327,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         raise NonFiniteValue("initial data contains non-finite values")
 
     chunk = max(1, _CHUNK_BYTES // (8 * (n - 1)))
-    prev = op = factors = row_scale = None
+    prev = op = row_scale = None
     for j0 in range(0, grid.m, chunk):
         t_next = grid.times[j0 + 1:j0 + 1 + chunk]
         t_mid = t_next - 0.5 * grid.dt
@@ -391,28 +344,23 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
             new[0] |= prev is None or bool((bits[0] != prev[i]).any())
         prev = [x[-1].view(np.int64).copy() for x in coefs]
-        # segments: each step with a new matrix, each run of repeats
-        edges = [0, *(np.flatnonzero(new[1:] | new[:-1]) + 1).tolist(), len(f)]
+        # segments: from the chunk's first step and each later new matrix
+        edges = [0, *(np.flatnonzero(new[1:]) + 1).tolist(), len(f)]
         for k, e in zip(edges, edges[1:]):
-            j, run = j0 + k, (f[k:e], ends[k:e], values[j0 + k:j0 + e + 1])
+            j = j0 + k
+            if new[k]:
+                op = build_operator(spec, mesh, grid.dt, [x[k] for x in coefs])
+                if checks.audit:
+                    row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
+                                             + np.abs(op.sup)))
+                    report = m_matrix_check(op.system(np.zeros(n + 1)))
+                    if not report.passed:
+                        _fail(checks.strict, MMatrixViolation,
+                              f"M-matrix check failed at step j={j} {where}: "
+                              f"{report.violations[:3]}")
             try:
-                if new[k]:
-                    op = build_operator(spec, mesh, grid.dt, [x[k] for x in coefs])
-                    factors = None
-                    if checks.audit:
-                        row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
-                                                 + np.abs(op.sup)))
-                        report = m_matrix_check(op.system(np.zeros(n + 1)))
-                        if not report.passed:
-                            _fail(checks.strict, MMatrixViolation,
-                                  f"M-matrix check failed at step j={j} {where}: "
-                                  f"{report.violations[:3]}")
-                    norms, bad = _advance_py(op, None, *run, audit=checks.audit)
-                else:
-                    # factored on the first repeat only, so a march whose
-                    # matrix changes every step never stores pivots
-                    factors = factors or thomas_factor(op.system(np.zeros(n + 1)))
-                    norms, bad = _KERNEL.advance(op, factors, *run)
+                norms, bad = _KERNEL.advance(op, f[k:e], ends[k:e], values[j:j0 + e + 1],
+                                             checks.audit)
             except ZeroPivot as exc:
                 raise ZeroPivot(exc.row, f"zero pivot at row {exc.row}, step j={j} "
                                 f"{where}") from exc

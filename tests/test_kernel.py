@@ -16,9 +16,9 @@ import layersolve
 from layersolve import (CheckPolicy, CheckWarning, NonFiniteValue, PiecewiseField,
                         ResidualViolation, TridiagonalSystem, ZeroPivot,
                         derive_regime, lookup, march, spatial_mesh_for,
-                        thomas_factor, thomas_solve, uniform_time_grid)
+                        thomas_solve, uniform_time_grid)
 from layersolve import solver
-from layersolve.discretization import build_operator, sample_coefficients
+from layersolve.discretization import StepOperator, build_operator, sample_coefficients
 
 HAVE_CC = shutil.which("cc") is not None
 KERNELS = [solver._PYTHON_KERNEL] + ([solver._KERNEL] if solver.KERNEL == "c" else [])
@@ -65,10 +65,6 @@ def outcome(fn, sys):
         return exc.row
 
 
-def factored(sys):
-    return thomas_factor(sys).solve(sys.rhs)
-
-
 class TestBitwiseEqualKernels:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(systems())
@@ -79,7 +75,7 @@ class TestBitwiseEqualKernels:
         for kernel in KERNELS:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solver, "_KERNEL", kernel)
-                results |= {outcome(thomas_solve, sys), outcome(factored, sys)}
+                results.add(outcome(thomas_solve, sys))
         assert len(results) == 1
 
     def test_kernel_is_exported(self):
@@ -88,8 +84,9 @@ class TestBitwiseEqualKernels:
     @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
     def test_contracted_build_is_not_bitwise_equal(self, tmp_path):
         """Negative control: with fused multiply-adds the kernel rounds
-        differently, so the bitwise property above would catch a build that
-        lost -ffp-contract=off."""
+        differently, in the fused solve and in ``advance``, which runs every
+        step of a march, so the bitwise properties here would catch a build
+        that lost -ffp-contract=off."""
         try:
             with open("/proc/cpuinfo", encoding="ascii") as fh:
                 has_fma = "fma" in fh.read().split()
@@ -102,17 +99,31 @@ class TestBitwiseEqualKernels:
                         "-o", str(lib), solver._SOURCE], check=True, capture_output=True)
         contracted = solver._c_kernel(ctypes.CDLL(str(lib)))
         rng = np.random.default_rng(7)
-        differ = 0
+        differ = advance_differ = 0
         for _ in range(50):
             sys = scaled_system(rng, int(rng.integers(3, 600)))
             differ += (contracted.solve(sys)[0].tobytes()
                        != solver._PYTHON_KERNEL.solve(sys)[0].tobytes())
-        assert differ == 50
+            op = StepOperator(sub=sys.sub, diag=sys.diag, sup=sys.sup,
+                              c4dt=rng.uniform(0.0, 10.0, sys.size))
+            f = rng.uniform(-5.0, 5.0, (3, sys.size - 2))
+            ends = rng.uniform(-1.0, 1.0, (3, 2))
+            runs = set()
+            for kernel in (contracted, solver._PYTHON_KERNEL):
+                u = np.zeros((4, sys.size))
+                u[0] = sys.rhs
+                norms, bad = kernel.advance(op, f, ends, u, True)
+                runs.add((bad, norms.tobytes(), u.tobytes()))
+            advance_differ += len(runs) - 1
+        assert (differ, advance_differ) == (50, 50)
 
 
-@pytest.mark.parametrize("nan_step", [None, 4])
-def test_advance_agrees_bitwise(monkeypatch, nan_step):
-    """Values, per-step norms and the first non-finite step of one run."""
+@pytest.mark.parametrize("nan_step,audit", [(None, True), (4, True), (None, False),
+                                            (4, False)],
+                         ids=["None", "4", "None-off", "4-off"])
+def test_advance_agrees_bitwise(monkeypatch, nan_step, audit):
+    """Values, per-step norms (zeros without audit) and the first non-finite
+    step of one segment: a fused solve, then five re-solves."""
     spec = lookup("example1", 1e-8, 1e-6)
     mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
     op = build_operator(spec, mesh, 1.0 / 64, sample_coefficients(spec, mesh, 0.5 / 64))
@@ -127,10 +138,50 @@ def test_advance_agrees_bitwise(monkeypatch, nan_step):
         monkeypatch.setattr(solver, "_KERNEL", kernel)
         u = np.zeros((7, 65))
         u[0] = start
-        norms, bad = kernel.advance(op, thomas_factor(op.system(np.zeros(65))), f, ends, u)
+        norms, bad = kernel.advance(op, f, ends, u, audit)
         done = 6 if bad < 0 else bad  # steps after a non-finite one are not taken
         results.add((bad, norms[:, :done].tobytes(), u[:done + 1].tobytes()))
+        if not audit:
+            assert not norms[:, :done].any()
     assert [bad for bad, _, _ in results] == [-1 if nan_step is None else nan_step]
+
+
+@pytest.mark.parametrize("row", [0, 17, 32, 64])
+def test_advance_raises_zero_pivot_at_the_same_row(row):
+    """A row scaled by 1e-310 puts its pivot below PIVOT_FLOOR; both kernels
+    stop at the first step's elimination and name that row."""
+    spec = lookup("example1", 1e-8, 1e-6)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
+    op = build_operator(spec, mesh, 1.0 / 64, sample_coefficients(spec, mesh, 0.5 / 64))
+    bands = [band.copy() for band in (op.sub, op.diag, op.sup)]
+    for band in bands:
+        band[row] *= 1e-310
+    op = StepOperator(*bands, c4dt=op.c4dt)
+    rng = np.random.default_rng(4)
+    f = rng.uniform(-5.0, 5.0, (3, 63))
+    ends = rng.uniform(-1.0, 1.0, (3, 2))
+    rows = []
+    for kernel in KERNELS:
+        with pytest.raises(ZeroPivot) as err:
+            kernel.advance(op, f, ends, np.zeros((4, 65)), True)
+        rows.append(err.value.row)
+    assert rows == [row] * len(KERNELS)
+
+
+@pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
+@pytest.mark.parametrize("case", ["short-band", "f-rows", "read-only-u"])
+def test_compiled_advance_checks_shapes_before_the_call(case):
+    n = 9
+    bands = [np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)]
+    f, u = np.zeros((2, n - 2)), np.zeros((3, n))
+    if case == "short-band":
+        bands[2] = np.zeros(n - 1)
+    elif case == "f-rows":
+        f = np.zeros((2, n))
+    else:
+        u.setflags(write=False)
+    with pytest.raises(ValueError, match="advance got shapes"):
+        solver._KERNEL.advance(StepOperator(*bands), f, np.zeros((2, 2)), u, True)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -140,13 +191,9 @@ def test_step_operator_and_factors_are_read_only(monkeypatch, kernel):
     mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
     op = build_operator(spec, mesh, 1.0 / 64,
                         sample_coefficients(spec, mesh, 0.5 / 64))
-    # the operator's bands before .system() is called, then the factors
+    # the operator's bands before .system() is called
     for field in (op.sub, op.diag, op.sup, op.c4dt):
         with pytest.raises(ValueError):
-            field[5] = 0.0
-    factors = thomas_factor(op.system(np.zeros(mesh.n + 1)))
-    for field in (factors.sub, factors.piv, factors.c):
-        with pytest.raises((ValueError, TypeError)):
             field[5] = 0.0
 
 

@@ -116,16 +116,17 @@ def test_march_is_bitwise_equal_under_both_kernels(shape, data):
     spec = make_spec(shape, data)
     mesh, grid = mesh_and_grid(spec)
     # chunks of 3 steps: 0-2, 3-5 and a ragged 6-7; the variant's matrix
-    # changes at step 4, so its runs are 1-2, 3 (continuing across the
-    # chunk boundary), 5 (after a new matrix mid-chunk) and 6-7
+    # changes at step 4, so it takes one advance call per matrix run per
+    # chunk: 0-2, 3 (continuing the run across the chunk boundary), 4-5
+    # (a new matrix mid-chunk) and 6-7
     variant = with_reuse_runs(spec, 4.0 * grid.dt)
-    for case, run_lengths in ((spec, None), (variant, [2, 1, 1, 2])):
+    for case, run_lengths in ((spec, None), (variant, [3, 1, 2, 2])):
         results = set()
         for kernel in KERNELS:
             calls = []
 
             def advance(*args, kernel=kernel):
-                calls.append(len(args[2]))
+                calls.append(len(args[1]))
                 return kernel.advance(*args)
 
             with pytest.MonkeyPatch.context() as mp:

@@ -10,10 +10,10 @@ import pytest
 from layersolve import (CheckPolicy, CheckWarning, DiscreteSolution,
                         MMatrixViolation, NonFiniteValue, PerturbationParams,
                         PiecewiseField, ProblemSpec, StabilityViolation,
-                        TridiagonalSystem, ZeroPivot, assemble, ThomasFactors,
-                        derive_regime, lookup, march, residual_max_norm,
-                        spatial_mesh_for, stability_audit, thomas_factor,
-                        thomas_solve, uniform_mesh, uniform_time_grid)
+                        TridiagonalSystem, ZeroPivot, assemble, derive_regime,
+                        lookup, march, residual_max_norm, spatial_mesh_for,
+                        stability_audit, thomas_solve, uniform_mesh,
+                        uniform_time_grid)
 from layersolve.discretization import _tridiagonal_apply
 
 
@@ -128,54 +128,6 @@ class TestThomasSolve:
                                 sup=np.zeros(2), rhs=np.ones(2))
         with pytest.raises(ValueError):
             thomas_solve(sys)
-
-    def test_factor_solve_is_bitwise_thomas_solve(self):
-        rng = np.random.default_rng(5)
-        spec = lookup("example1", 1e-8, 1e-6)
-        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
-        systems = [random_dominant_system(rng, int(rng.integers(3, 60)))
-                   for _ in range(10)]
-        systems.append(assemble(spec, mesh, 0.5, 1.0 / 64,
-                                np.sin(3.0 * mesh.points)))
-        # rows scaled by 10^-150..10^150, all-negative and mixed-sign
-        # diagonals: factor forms its pivots elementwise, so a rounding
-        # that differs from the elimination loop shows here
-        for size in (3, 17, 640, 4097):
-            base = random_dominant_system(rng, size)
-            scale = 10.0 ** rng.uniform(-150.0, 150.0, size)
-            for diag in (base.diag, -np.abs(base.diag)):
-                systems.append(TridiagonalSystem(
-                    sub=base.sub * scale, diag=diag * scale,
-                    sup=base.sup * scale, rhs=base.rhs * scale))
-        for sys in systems:
-            assert (thomas_factor(sys).solve(sys.rhs).tobytes()
-                    == thomas_solve(sys).tobytes())
-
-    @pytest.mark.parametrize("diag,row", [([0.0, 2.0, 2.0], 0),
-                                          ([1.0, 1.0, 2.0], 1)])
-    def test_factor_raises_zero_pivot_where_solve_does(self, diag, row):
-        sys = TridiagonalSystem(sub=np.array([0.0, 1.0, 1.0]),
-                                diag=np.array(diag),
-                                sup=np.array([1.0, 1.0, 0.0]),
-                                rhs=np.ones(3))
-        for solve in (thomas_solve, thomas_factor):
-            with pytest.raises(ZeroPivot) as err:
-                solve(sys)
-            assert err.value.row == row
-
-    def test_factor_rejects_tiny_systems_and_wrong_rhs(self):
-        tiny = TridiagonalSystem(sub=np.zeros(2), diag=np.ones(2),
-                                 sup=np.zeros(2), rhs=np.ones(2))
-        with pytest.raises(ValueError):
-            thomas_factor(tiny)
-        sys = TridiagonalSystem(sub=np.zeros(3), diag=np.ones(3),
-                                sup=np.zeros(3), rhs=np.ones(3))
-        with pytest.raises(ValueError):
-            thomas_factor(sys).solve(np.ones(4))
-        f = thomas_factor(sys)
-        for n_sub, n_rest in ((2, 3), (2, 2)):  # mismatched, too short
-            with pytest.raises(ValueError):
-                ThomasFactors(sub=f.sub[:n_sub], piv=f.piv[:n_rest], c=f.c[:n_rest])
 
     def test_residual_within_tolerance_on_assembled_step(self):
         spec = lookup("example1", 1e-8, 1e-6)
@@ -327,38 +279,30 @@ class TestMarch:
 
     def test_zero_pivot_carries_step_context(self, monkeypatch):
         import layersolve.solver as solver_mod
-
-        def exploding(sys):
-            raise ZeroPivot(3)
-
-        monkeypatch.setattr(solver_mod, "thomas_solve", exploding)
+        kernel = solver_mod._KERNEL
         spec = zero_data_spec()
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
-        with pytest.raises(ZeroPivot) as err:
-            solver_mod.march(spec, mesh, uniform_time_grid(1.0, 4),
-                             CheckPolicy())
-        assert err.value.row == 3
-        assert "N=32" in str(err.value)
-        assert "M=4" in str(err.value)
-        assert "j=0" in str(err.value)
+        # one matrix: the first call starts the march; with chunks of 3
+        # steps the second call starts the next chunk mid-run, at step 3
+        for chunk_bytes, failing, j in ((solver_mod._CHUNK_BYTES, 0, 0),
+                                        (3 * 8 * 31, 1, 3)):
+            calls = []
 
-    def test_zero_pivot_at_factor_carries_step_context(self, monkeypatch):
-        import layersolve.solver as solver_mod
+            def exploding(*args):
+                calls.append(args)
+                if len(calls) > failing:
+                    raise ZeroPivot(3)
+                return kernel.advance(*args)
 
-        def exploding(sys):
-            raise ZeroPivot(3)
-
-        # step 0 solves afresh; step 1 repeats the matrix and factors it
-        monkeypatch.setattr(solver_mod, "thomas_factor", exploding)
-        spec = zero_data_spec()
-        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
-        with pytest.raises(ZeroPivot) as err:
-            solver_mod.march(spec, mesh, uniform_time_grid(1.0, 4),
-                             CheckPolicy())
-        assert err.value.row == 3
-        assert "N=32" in str(err.value)
-        assert "M=4" in str(err.value)
-        assert "j=1" in str(err.value)
+            monkeypatch.setattr(solver_mod, "_KERNEL", kernel._replace(advance=exploding))
+            monkeypatch.setattr(solver_mod, "_CHUNK_BYTES", chunk_bytes)
+            with pytest.raises(ZeroPivot) as err:
+                solver_mod.march(spec, mesh, uniform_time_grid(1.0, 4),
+                                 CheckPolicy())
+            assert err.value.row == 3
+            assert "N=32" in str(err.value)
+            assert "M=4" in str(err.value)
+            assert f"j={j}" in str(err.value)
 
     @pytest.mark.parametrize("b,checks_run", [
         (None, 1),
