@@ -1,16 +1,17 @@
 /* Thomas elimination for layersolve.solver, loaded through ctypes.  Each
-   function performs the operations of the Python loop it replaces
-   (solver._solve_py, _resolve_py and _advance_py) in the same order; built
-   with -ffp-contract=off, so that no a - b*c becomes a fused multiply-add,
-   it returns bitwise the same doubles as those loops. */
+   value is computed by the operations of the Python code it replaces
+   (solver._solve_py and _advance_py, discretization._bands) in the same
+   order; built with -ffp-contract=off, so that no a - b*c becomes a fused
+   multiply-add, it returns bitwise the same doubles as that code. */
 #include <math.h>
 
 #define PIVOT_FLOOR 1e-300 /* solver.PIVOT_FLOOR */
 
 static void back_substitute(long n, const double *c, double *x)
 {
+    double xi = x[n - 1];
     for (long i = n - 2; i >= 0; i--)
-        x[i] = x[i] - c[i] * x[i + 1];
+        x[i] = xi = x[i] - c[i] * xi;
 }
 
 /* Eliminate, writing the multipliers c and the pivots, then back-substitute
@@ -38,16 +39,6 @@ long thomas_solve(long n, const double *sub, const double *diag,
     return -1;
 }
 
-/* thomas_solve's sweeps on its sub, pivots and multipliers for a new rhs. */
-static void resolve(long n, const double *sub, const double *piv,
-                    const double *c, const double *rhs, double *x)
-{
-    x[0] = rhs[0] / piv[0];
-    for (long i = 1; i < n; i++)
-        x[i] = (rhs[i] - sub[i] * x[i - 1]) / piv[i];
-    back_substitute(n, c, x);
-}
-
 /* Row i of A u as discretization._tridiagonal_apply forms it. */
 static double apply_row(long n, long i, const double *sub, const double *diag,
                         const double *sup, const double *u)
@@ -67,33 +58,92 @@ static double max_abs(double m, double v)
     return (v > m || isnan(v)) ? v : m;
 }
 
-/* Advance u (steps + 1 rows of n) by `steps` steps of one matrix.  Step k
-   forms discretization.step_rhs into rhs from row k of u, the n - 2 source
-   samples of row k of f and the boundary values ends[2k], ends[2k+1]; solves
-   as thomas_solve at k = 0, which writes c and piv, and as resolve after;
-   writes max|A x - rhs|, max|rhs| and max|x| (zeros without audit) into
-   norms[k], norms[steps + k] and norms[2 steps + k]; then stores x, rows 0
-   and n - 1 pinned to the boundary values, as row k + 1.  Returns -1, the
-   first step whose x is not finite, or -2 - row for a zero pivot at row. */
-long thomas_advance(long steps, long n, long audit, const double *sub,
-                    const double *diag, const double *sup, const double *c4dt,
-                    const double *f, const double *ends, double *u,
-                    double *rhs, double *c, double *piv, double *norms)
+/* Row i of the step matrix's bands (sub, diag, sup and c4dt, n each) into
+   band, as discretization._bands builds it from the mesh's weights w (4 rows
+   of n, discretization.stencil_weights) and the samples a, b and c of rows
+   1 to n - 2. */
+static void build_row(long n, long i, const double *w, double mu, double dt,
+                      const double *a, const double *b, const double *c, double *band)
 {
-    for (long k = 0, row; k < steps; k++) {
-        const double *prev = u + k * n;
+    if (i == 0 || i == (n - 1) / 2 || i == n - 1) { /* stored in w as it is */
+        band[i] = w[i];
+        band[n + i] = w[n + i];
+        band[2 * n + i] = w[2 * n + i];
+        band[3 * n + i] = 0.0;
+        return;
+    }
+    double cbar = b[i - 1] + 2.0 * c[i - 1] / dt;
+    double conv = mu * a[i - 1] / w[3 * n + i];
+    double w_minus = w[i], w_center = w[n + i] - cbar, w_plus = w[2 * n + i];
+    if (i < (n - 1) / 2) {
+        w_minus -= conv;
+        w_center += conv;
+    } else {
+        w_plus += conv;
+        w_center -= conv;
+    }
+    band[i] = -w_minus;
+    band[n + i] = -w_center;
+    band[2 * n + i] = -w_plus;
+    band[3 * n + i] = 4.0 * c[i - 1] / dt;
+}
+
+/* Advance u (steps + 1 rows of n) by `steps` steps.  Step k forms
+   discretization.step_rhs into rhs from row k of u, the n - 2 source samples
+   of row k of f and the boundary values ends[2k], ends[2k+1], and solves.
+   At step 0 and at each step k with is_new[k] it builds the step matrix
+   from w, mu, dt and the next row of a, b and cc (n - 2 samples each, one
+   row per built matrix) into the next slot (4 n doubles) of bands, and
+   eliminates as thomas_solve, writing c and piv: row by row, each row built,
+   its rhs formed and eliminated in one pass.  The other steps sweep on c
+   and piv.  Then it writes max|A x - rhs|, max|rhs| and max|x| (zeros
+   without audit) into norms[3k..3k+2] and stores x, rows 0 and n - 1
+   pinned to the boundary values, as row k + 1.  Returns -1, the first step
+   whose x is not finite, or -2 - (k n + row) for a zero pivot at row of
+   step k, after building the rest of its matrix. */
+long thomas_advance(long steps, long n, long audit, double mu, double dt,
+                    const double *w, const double *a, const double *b,
+                    const double *cc, const unsigned char *is_new,
+                    const double *f, const double *ends, double *u,
+                    double *bands, double *norms, double *rhs, double *c,
+                    double *piv)
+{
+    double *sub = bands, *diag = bands + n, *sup = bands + 2 * n, *c4dt = bands + 3 * n;
+    for (long k = 0, at = 0, built = 0; k < steps; k++) {
+        const double *prev = u + k * n, *fk = f + k * (n - 2);
         double *x = u + (k + 1) * n;
-        double res = 0.0, rhs_max = 0.0, x_max = 0.0;
-        for (long i = 1; i < n - 1; i++)
-            rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
-                     - 2.0 * f[k * (n - 2) + i - 1];
-        rhs[0] = ends[2 * k];
-        rhs[n - 1] = ends[2 * k + 1];
-        rhs[(n - 1) / 2] = 0.0;
-        if (k)
-            resolve(n, sub, piv, c, rhs, x);
-        else if ((row = thomas_solve(n, sub, diag, sup, rhs, c, piv, x)) >= 0)
-            return -2 - row;
+        double res = 0.0, rhs_max = 0.0, x_max = 0.0, ci = 0.0, xi = 0.0;
+        int fresh = k == 0 || is_new[k];
+        if (fresh) {
+            at = built * (n - 2);
+            sub = bands + 4 * n * built++;
+            diag = sub + n;
+            sup = sub + 2 * n;
+            c4dt = sub + 3 * n;
+        }
+        for (long i = 0; i < n; i++) {
+            if (fresh)
+                build_row(n, i, w, mu, dt, a + at, b + at, cc + at, sub);
+            if (i == 0 || i == n - 1)
+                rhs[i] = ends[2 * k + (i > 0)];
+            else if (i == (n - 1) / 2)
+                rhs[i] = 0.0;
+            else
+                rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
+                         - 2.0 * fk[i - 1];
+            if (fresh) {
+                double p = i ? diag[i] - sub[i] * ci : diag[0];
+                if (fabs(p) < PIVOT_FLOOR) {
+                    for (long r = i + 1; r < n; r++)
+                        build_row(n, r, w, mu, dt, a + at, b + at, cc + at, sub);
+                    return -2 - (k * n + i);
+                }
+                piv[i] = p;
+                c[i] = ci = sup[i] / p;
+            }
+            x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
+        }
+        back_substitute(n, c, x);
         for (long i = 0; i < n; i++)
             if (!isfinite(x[i]))
                 return k;
@@ -102,9 +152,9 @@ long thomas_advance(long steps, long n, long audit, const double *sub,
             rhs_max = max_abs(rhs_max, rhs[i]);
             x_max = max_abs(x_max, x[i]);
         }
-        norms[k] = res;
-        norms[steps + k] = rhs_max;
-        norms[2 * steps + k] = x_max;
+        norms[3 * k] = res;
+        norms[3 * k + 1] = rhs_max;
+        norms[3 * k + 2] = x_max;
         x[0] = rhs[0];
         x[n - 1] = rhs[n - 1];
     }

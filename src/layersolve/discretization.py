@@ -23,8 +23,10 @@ A step is assembled in three parts: sample a, b, c and f at t_mid
 (:func:`step_rhs`).  The samples are arrays over rows 1..N-1; a piecewise
 field takes its left branch below N/2 and its right branch from N/2 on
 (:func:`_on_rows`).  Row N/2 is sampled like the rows right of it, then
-overwritten by the transmission row.  A march whose a, b and c are bitwise
-equal to the previous step's, row N/2 included, reuses the matrix.
+overwritten by the transmission row.  A's t-independent part is one
+per-mesh array (:func:`stencil_weights`); a march's kernel builds each new
+matrix from it as :func:`build_operator` does.  A march whose a, b and c
+are bitwise equal to the previous step's, row N/2 included, reuses the matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "discontinuity_row",
     "StepOperator",
     "sample_coefficients",
+    "stencil_weights",
     "build_operator",
     "step_rhs",
     "assemble",
@@ -136,8 +139,44 @@ class StepOperator:
             arr.setflags(write=False)
 
     def system(self, rhs: np.ndarray) -> TridiagonalSystem:
-        return TridiagonalSystem(sub=self.sub, diag=self.diag, sup=self.sup,
-                                 rhs=rhs)
+        return TridiagonalSystem(self.sub, self.diag, self.sup, rhs)
+
+
+def stencil_weights(spec: ProblemSpec, mesh: SpatialMesh) -> np.ndarray:
+    """The t-independent part of every step matrix, a (4, N+1) array by row:
+    on PDE row i the weights 2eps/(h_i*(h_i+h_{i+1})), -2eps/(h_i*h_{i+1})
+    and 2eps/(h_{i+1}*(h_i+h_{i+1})) of eps*d2 and the upwind spacing (h_i
+    below N/2, h_{i+1} from N/2 on); on rows 0, N/2 and N the stored (sub,
+    diag, sup) of the identity rows and :func:`discontinuity_row`."""
+    n, mid, eps = mesh.n, mesh.n // 2, spec.params.epsilon
+    hi, hi1 = mesh.h[1:-1], mesh.h[2:]
+    w = np.zeros((4, n + 1))
+    w[:, 1:-1] = (2.0 * eps / (hi * (hi + hi1)), -2.0 * eps / (hi * hi1),
+                  2.0 * eps / (hi1 * (hi + hi1)), np.where(np.arange(1, n) < mid, hi, hi1))
+    w[1, [0, n]] = 1.0
+    w[:3, mid] = discontinuity_row(mesh)
+    return w
+
+
+def _bands(w: np.ndarray, mu: float, dt: float, a_v, b_v, c_v) -> np.ndarray:
+    """sub, diag, sup and c4dt of one step matrix, a (4, N+1) array, from
+    :func:`stencil_weights` and one step's a, b and c; ``thomas_advance``
+    builds it in C with the same operations in the same order."""
+    n = w.shape[1] - 1
+    fixed = [0, n // 2, n]
+    # entry k of each array below belongs to row k + 1
+    left, right = slice(None, n // 2 - 1), slice(n // 2 - 1, None)
+    cbar = b_v + 2.0 * c_v / dt
+    conv = mu * a_v / w[3, 1:-1]
+    w_minus, w_center, w_plus = w[0, 1:-1].copy(), w[1, 1:-1] - cbar, w[2, 1:-1].copy()
+    w_minus[left] -= conv[left]
+    w_center[left] += conv[left]
+    w_plus[right] += conv[right]
+    w_center[right] -= conv[right]
+    bands = np.empty_like(w)
+    bands[:, 1:-1] = -w_minus, -w_center, -w_plus, 4.0 * c_v / dt
+    bands[:3, fixed], bands[3, fixed] = w[:3, fixed], 0.0
+    return bands
 
 
 def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
@@ -148,35 +187,8 @@ def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
     every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with D*
     upwind: D- below N/2 (a < 0 there), D+ above it.
     """
-    mid = mesh.n // 2
-    eps, mu = spec.params.epsilon, spec.params.mu
-    a_v, b_v, c_v = samples[:3]
-    # entry k of each array below belongs to row k + 1
-    left, right = slice(None, mid - 1), slice(mid - 1, None)
-    hi = mesh.h[1:-1]
-    hi1 = mesh.h[2:]
-    hbar2 = hi + hi1
-    cbar = b_v + 2.0 * c_v / dt
-
-    w_minus = 2.0 * eps / (hi * hbar2)
-    w_plus = 2.0 * eps / (hi1 * hbar2)
-    w_center = -2.0 * eps / (hi * hi1) - cbar
-    conv = mu * a_v[left] / hi[left]
-    w_minus[left] -= conv
-    w_center[left] += conv
-    conv = mu * a_v[right] / hi1[right]
-    w_plus[right] += conv
-    w_center[right] -= conv
-
-    sub, diag, sup, c4dt = np.zeros((4, mesh.n + 1))
-    sub[1:-1] = -w_minus
-    diag[1:-1] = -w_center
-    sup[1:-1] = -w_plus
-    c4dt[1:-1] = 4.0 * c_v / dt
-    diag[0] = diag[-1] = 1.0
-    sub[mid], diag[mid], sup[mid] = discontinuity_row(mesh)
-    c4dt[mid] = 0.0
-    return StepOperator(sub=sub, diag=diag, sup=sup, c4dt=c4dt)
+    return StepOperator(*_bands(stencil_weights(spec, mesh), spec.params.mu, dt,
+                                *samples[:3]))
 
 
 def step_rhs(op: StepOperator, u_prev: np.ndarray, f: np.ndarray,
@@ -235,26 +247,19 @@ def m_matrix_check(sys: TridiagonalSystem) -> MMatrixReport:
     """
     n = sys.size - 1
     sign = np.where(sys.diag >= 0.0, 1.0, -1.0)
-    diag = sign * sys.diag
-    sub = sign * sys.sub
-    sup = sign * sys.sup
+    diag, sub, sup = (sign * band for band in (sys.diag, sys.sub, sys.sup))
 
-    violations: list[tuple[int, str]] = []
-    for i in np.nonzero(diag == 0.0)[0]:
-        violations.append((int(i), "zero diagonal"))
-    for i in np.nonzero((sub[1:-1] > 0.0) | (sup[1:-1] > 0.0))[0]:
-        violations.append((int(i) + 1, "positive off-diagonal"))
+    violations = [(int(i), "zero diagonal") for i in np.flatnonzero(diag == 0.0)]
+    violations += [(int(i) + 1, "positive off-diagonal")
+                   for i in np.flatnonzero((sub[1:-1] > 0.0) | (sup[1:-1] > 0.0))]
 
     margin = np.abs(diag) - (np.abs(sub) + np.abs(sup))
     margin[0] = np.abs(diag[0]) - np.abs(sup[0])
     margin[n] = np.abs(diag[n]) - np.abs(sub[n])
-    for i in np.nonzero(margin < 0.0)[0]:
-        violations.append((int(i), "not diagonally dominant"))
+    violations += [(int(i), "not diagonally dominant") for i in np.flatnonzero(margin < 0.0)]
     strict_rows = int(np.count_nonzero(margin > 0.0))
     if strict_rows == 0:
         violations.append((-1, "no strictly dominant row"))
 
-    return MMatrixReport(passed=not violations,
-                         violations=tuple(violations),
-                         min_margin=float(margin.min()),
-                         strict_rows=strict_rows)
+    return MMatrixReport(passed=not violations, violations=tuple(violations),
+                         min_margin=float(margin.min()), strict_rows=strict_rows)

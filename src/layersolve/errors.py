@@ -44,10 +44,10 @@ class NonMonotone(LayerSolveError):
 # -- linear algebra / time marching -------------------------------------------
 
 class ZeroPivot(LayerSolveError):
-    """Tridiagonal elimination hit a vanishing pivot."""
+    """Tridiagonal elimination hit a vanishing pivot (at ``step`` of a march chunk)."""
 
-    def __init__(self, row: int, message: str = ""):
-        self.row = row
+    def __init__(self, row: int, message: str = "", step: int | None = None):
+        self.row, self.step = row, step
         super().__init__(message or f"zero pivot at row {row}")
 
 

@@ -4,9 +4,10 @@ Thomas elimination is used without pivoting: every assembled system is an
 M-matrix (checked at runtime under the default policy), so elimination is
 stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
-remedy.  A march advances each step with a new matrix, together with the
-steps that repeat that matrix, in one kernel ``advance`` call: a fused
-elimination for the first step, re-solves on its pivots for the rest.
+remedy.  A march advances each chunk of steps in one kernel ``advance``
+call, which builds every new step matrix from the mesh's stencil weights,
+eliminating each row as it is built, and re-solves on its pivots for the
+steps that repeat it.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
@@ -27,8 +28,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .discretization import (TridiagonalSystem, _tridiagonal_apply, build_operator,
-                             m_matrix_check, sample_coefficients, step_rhs)
+from .discretization import (StepOperator, TridiagonalSystem, _bands, _tridiagonal_apply,
+                             m_matrix_check, sample_coefficients, stencil_weights,
+                             step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
@@ -100,22 +102,17 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """
     if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
-    return _KERNEL.solve(sys)[0]
+    return _KERNEL.solve(sys)
 
 
-def _solve_py(sys: TridiagonalSystem):
+def _solve_py(sys: TridiagonalSystem) -> np.ndarray:
     """Forward elimination and back sweep in Python floats."""
-    sub = sys.sub.tolist()
-    diag = sys.diag.tolist()
-    sup = sys.sup.tolist()
-    rhs = sys.rhs.tolist()
-
+    sub, diag, sup, rhs = (a.tolist() for a in (sys.sub, sys.diag, sys.sup, sys.rhs))
     piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise ZeroPivot(0)
     ci = sup[0] / piv
     xi = rhs[0] / piv
-    pivots = [piv]
     c = [ci]
     y = [xi]
     for s, d, u, r in zip(sub[1:], diag[1:], sup[1:], rhs[1:]):
@@ -124,25 +121,8 @@ def _solve_py(sys: TridiagonalSystem):
             raise ZeroPivot(len(c))
         ci = u / piv
         xi = (r - s * xi) / piv
-        pivots.append(piv)
         c.append(ci)
         y.append(xi)
-    return _back_substitute(c, y), (sub, pivots, c)
-
-
-def _resolve_py(sub: list[float], piv: list[float], c: list[float],
-                rhs: np.ndarray) -> np.ndarray:
-    """The forward and back sweeps of :func:`_solve_py` for a new rhs."""
-    r = rhs.tolist()
-    xi = r[0] / piv[0]
-    y = [xi]
-    for s, p, ri in zip(sub[1:], piv[1:], r[1:]):
-        xi = (ri - s * xi) / p
-        y.append(xi)
-    return _back_substitute(c, y)
-
-
-def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
     xi = y[-1]
     x = [xi]
     for ci, yi in zip(c[-2::-1], y[-2::-1]):
@@ -152,32 +132,37 @@ def _back_substitute(c: list[float], y: list[float]) -> np.ndarray:
     return np.array(x)
 
 
-def _advance_py(op, f, ends, u, audit):
-    """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r): by
-    :func:`_solve_py` at k = 0, by :func:`_resolve_py` on its factors after.
-    Returns max|A x - rhs|, max|rhs| and max|x| per step (zeros without
-    ``audit``) as a (3, steps) array, and the first step whose x is not
-    finite, or -1."""
-    norms = np.zeros((3, len(f)))
+def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
+    """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r) by
+    :func:`_solve_py`, after building the step matrix from ``w`` and the next
+    row of ``coefs`` = (a, b, c) into the next slot of ``bands`` at k = 0 and
+    where ``is_new[k]``; a repeated matrix has the pivots that C re-uses.  A zero
+    pivot raises ZeroPivot with the step.  norms[k] gets max|A x - rhs|,
+    max|rhs| and max|x| (zeros without ``audit``).  Returns the first step
+    whose x is not finite, or -1."""
+    built = zip(bands, *coefs)
     for k, (p, r) in enumerate(ends.tolist()):
+        if k == 0 or is_new[k]:
+            band, *samples = next(built)
+            band[:] = _bands(w, mu, dt, *samples)
+            op = StepOperator(*band)
         sys = op.system(step_rhs(op, u[k], f[k], p, r))
-        if k == 0:
-            x, factors = _solve_py(sys)
-        else:
-            x = _resolve_py(*factors, sys.rhs)
+        try:
+            x = _solve_py(sys)
+        except ZeroPivot as exc:
+            raise ZeroPivot(exc.row, step=k) from None
         if not np.all(np.isfinite(x)):
-            return norms, k
-        if audit:
-            norms[:, k] = (residual_max_norm(sys, x), np.max(np.abs(sys.rhs)),
-                           np.max(np.abs(x)))
+            return k
+        norms[k] = (residual_max_norm(sys, x), np.max(np.abs(sys.rhs)),
+                    np.max(np.abs(x))) if audit else 0.0
         x[0], x[-1] = p, r
         u[k + 1] = x
-    return norms, -1
+    return -1
 
 
 class _Kernel(NamedTuple):
-    """A fused solve, ``solve(sys) -> (x, factors)``, and ``advance``
-    (:func:`_advance_py`), which raises ZeroPivot like ``solve``."""
+    """A solve, ``solve(sys) -> x``, and ``advance`` (:func:`_advance_py`),
+    both raising ZeroPivot."""
 
     name: str
     solve: Callable
@@ -197,7 +182,7 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
     c_solve, c_advance = lib.thomas_solve, lib.thomas_advance
     c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
     c_solve.restype = ctypes.c_long
-    c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_void_p] * 11
+    c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13
     c_advance.restype = ctypes.c_long
 
     def solve(sys):
@@ -207,22 +192,25 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
         row = c_solve(sys.size, *[a.ctypes.data for a in bands + out])
         if row >= 0:
             raise ZeroPivot(row)
-        return x, (bands[0], piv, c)
+        return x
 
-    def advance(op, f, ends, u, audit):
-        steps, n = len(f), len(op.diag)
-        bands = [np.ascontiguousarray(a, dtype=float) for a in
-                 (op.sub, op.diag, op.sup, op.c4dt)]
-        shapes = (u.shape, np.shape(f), np.shape(ends), {len(a) for a in bands})
-        if shapes != ((steps + 1, n), (steps, n - 2), (steps, 2), {n}) or not (
-                u.dtype == float and u.flags.c_contiguous and u.flags.writeable):
-            raise ValueError(f"advance got shapes {shapes} or a read-only u")
-        arrays = bands + [np.ascontiguousarray(a, dtype=float) for a in (f, ends)]
-        arrays += [u, *np.empty((3, n)), norms := np.empty((3, steps))]
-        bad = c_advance(steps, n, bool(audit), *[a.ctypes.data for a in arrays])
+    def advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
+        steps, n = len(f), np.shape(w)[-1]
+        # a sample that broadcasts a scalar has stride 0: copy it before C reads it
+        ins = [np.ascontiguousarray(x, dtype=float) for x in (w, *coefs, f, ends)]
+        is_new = np.ascontiguousarray(is_new, dtype=bool)
+        shapes = [x.shape for x in (*ins, is_new, u, bands, norms)]
+        builds = 1 + np.count_nonzero(is_new[1:])
+        if shapes != [(4, n), *[(builds, n - 2)] * 3, (steps, n - 2), (steps, 2), (steps,),
+                      (steps + 1, n), (builds, 4, n), (steps, 3)] or not all(
+                x.dtype == float and x.flags.c_contiguous and x.flags.writeable
+                for x in (u, bands, norms)):
+            raise ValueError(f"advance got shapes {shapes} or a read-only output")
+        arrays = [*ins[:4], is_new, *ins[4:], u, bands, norms, *np.empty((3, n))]
+        bad = c_advance(steps, n, bool(audit), mu, dt, *[x.ctypes.data for x in arrays])
         if bad < -1:
-            raise ZeroPivot(-2 - bad)
-        return norms, bad
+            raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
+        return bad
 
     return _Kernel("c", solve, advance)
 
@@ -311,13 +299,13 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
 
     values[0] is q sampled on the mesh; each later level solves one
     Crank-Nicolson system.  Boundary entries are assigned from p and r, not
-    solved.  a, b, c and f are sampled a chunk of steps at a time.  A step
-    whose a, b and c equal the previous step's bitwise reuses its matrix and
-    its M-matrix verdict.  Each segment of a chunk, a step with a new matrix
-    or the chunk's first step, with the repeats after it, is one kernel
-    ``advance`` call, bitwise equal to solving every step afresh.  Residual
-    failures in a segment surface after it, first step first.
-    :func:`stability_audit` runs once, on the finished values.
+    solved.  a, b, c and f are sampled a chunk of steps at a time, and each
+    chunk is one kernel ``advance`` call, bitwise equal to building and
+    solving every step afresh.  A step whose a, b and c equal the previous
+    step's bitwise reuses its matrix and its M-matrix verdict.  The audits
+    follow the call in step order, each new matrix's M-matrix check before
+    its steps' residuals; a zero pivot or a non-finite value raises after
+    the audits of the steps before it.  :func:`stability_audit` runs once.
     """
     n = mesh.n
     where = f"(N={n}, M={grid.m})"
@@ -327,7 +315,8 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         raise NonFiniteValue("initial data contains non-finite values")
 
     chunk = max(1, _CHUNK_BYTES // (8 * (n - 1)))
-    prev = op = row_scale = None
+    weights = stencil_weights(spec, mesh)
+    prev = row_scale = None
     for j0 in range(0, grid.m, chunk):
         t_next = grid.times[j0 + 1:j0 + 1 + chunk]
         t_mid = t_next - 0.5 * grid.dt
@@ -344,37 +333,43 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
             new[0] |= prev is None or bool((bits[0] != prev[i]).any())
         prev = [x[-1].view(np.int64).copy() for x in coefs]
-        # segments: from the chunk's first step and each later new matrix
-        edges = [0, *(np.flatnonzero(new[1:]) + 1).tolist(), len(f)]
-        for k, e in zip(edges, edges[1:]):
-            j = j0 + k
+        # segments: from the chunk's first step and each later new matrix,
+        # whose matrix the kernel builds from its samples into a slot of bands
+        starts = [0, *(np.flatnonzero(new[1:]) + 1).tolist()]
+        bands, norms = np.empty((len(starts), 4, n + 1)), np.empty((len(f), 3))
+        try:
+            bad, pivot = _KERNEL.advance(weights, spec.params.mu, grid.dt,
+                                         [x[starts] for x in coefs], new, f, ends,
+                                         values[j0:j0 + len(f) + 1], checks.audit, bands,
+                                         norms), None
+        except ZeroPivot as exc:
+            bad, pivot = exc.step, exc
+        # audits in step order, up to a failed step: each new matrix, then
+        # the residuals of the steps that solve it
+        for slot, (k, e) in enumerate(zip(starts, starts[1:] + [len(f)])):
+            if not checks.audit or k > bad >= 0:
+                break
             if new[k]:
-                op = build_operator(spec, mesh, grid.dt, [x[k] for x in coefs])
-                if checks.audit:
-                    row_scale = float(np.max(np.abs(op.sub) + np.abs(op.diag)
-                                             + np.abs(op.sup)))
-                    report = m_matrix_check(op.system(np.zeros(n + 1)))
-                    if not report.passed:
-                        _fail(checks.strict, MMatrixViolation,
-                              f"M-matrix check failed at step j={j} {where}: "
-                              f"{report.violations[:3]}")
-            try:
-                norms, bad = _KERNEL.advance(op, f[k:e], ends[k:e], values[j:j0 + e + 1],
-                                             checks.audit)
-            except ZeroPivot as exc:
-                raise ZeroPivot(exc.row, f"zero pivot at row {exc.row}, step j={j} "
-                                f"{where}") from exc
-            if checks.audit:
-                res, rhs_max, x_max = norms[:, :bad] if bad >= 0 else norms
-                # rhs-anchored tolerance, plus a matrix-scale term for degenerate
-                # (eps ~ 1) instances whose matrix entries dwarf the rhs
-                tol = RESIDUAL_RTOL * (1.0 + rhs_max) + _MATRIX_RTOL * row_scale * (1.0 + x_max)
-                for i in np.flatnonzero(res > tol).tolist():
-                    _fail(checks.strict, ResidualViolation,
-                          f"solve residual {res[i]:.3e} exceeds {tol[i]:.3e} "
-                          f"at step j={j + i} {where}")
-            if bad >= 0:
-                raise NonFiniteValue(f"non-finite value at step j={j + bad} {where}")
+                sub, diag, sup = bands[slot, :3]
+                row_scale = float(np.max(np.abs(sub) + np.abs(diag) + np.abs(sup)))
+                report = m_matrix_check(TridiagonalSystem(sub, diag, sup, np.zeros(n + 1)))
+                if not report.passed:
+                    _fail(checks.strict, MMatrixViolation,
+                          f"M-matrix check failed at step j={j0 + k} {where}: "
+                          f"{report.violations[:3]}")
+            res, rhs_max, x_max = norms[k:e if bad < 0 else min(e, bad)].T
+            # rhs-anchored tolerance, plus a matrix-scale term for degenerate
+            # (eps ~ 1) instances whose matrix entries dwarf the rhs
+            tol = RESIDUAL_RTOL * (1.0 + rhs_max) + _MATRIX_RTOL * row_scale * (1.0 + x_max)
+            for i in np.flatnonzero(res > tol).tolist():
+                _fail(checks.strict, ResidualViolation,
+                      f"solve residual {res[i]:.3e} exceeds {tol[i]:.3e} "
+                      f"at step j={j0 + k + i} {where}")
+        if pivot is not None:
+            raise ZeroPivot(pivot.row, f"zero pivot at row {pivot.row}, step j={j0 + bad} "
+                            f"{where}") from pivot
+        if bad >= 0:
+            raise NonFiniteValue(f"non-finite value at step j={j0 + bad} {where}")
     sol = DiscreteSolution(mesh=mesh, grid=grid, values=values)
     if checks.audit and not (report := stability_audit(sol, spec)).passed:
         # step j produces level j + 1

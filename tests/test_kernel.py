@@ -13,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import layersolve
-from layersolve import (CheckPolicy, CheckWarning, NonFiniteValue, PiecewiseField,
-                        ResidualViolation, TridiagonalSystem, ZeroPivot,
-                        derive_regime, lookup, march, spatial_mesh_for,
+from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation, NonFiniteValue,
+                        PiecewiseField, ResidualViolation, TridiagonalSystem, ZeroPivot,
+                        assemble, derive_regime, lookup, march, spatial_mesh_for,
                         thomas_solve, uniform_time_grid)
 from layersolve import solver
-from layersolve.discretization import StepOperator, build_operator, sample_coefficients
+from layersolve.discretization import (build_operator, sample_coefficients,
+                                       stencil_weights)
 
 HAVE_CC = shutil.which("cc") is not None
 KERNELS = [solver._PYTHON_KERNEL] + ([solver._KERNEL] if solver.KERNEL == "c" else [])
@@ -55,6 +56,32 @@ def systems(draw):
     zero_row = draw(st.none() | rows)
     seed = draw(st.integers(0, 2**32 - 1))
     return scaled_system(np.random.default_rng(seed), size, specials, zero_row)
+
+
+def random_advance(rng, n, steps):
+    """Inputs of ``advance`` before u over n unknowns and ``steps`` steps: a
+    random stencil (diagonally dominant weights, identity rows 0, (n-1)/2 and
+    n-1), mu, dt, positive a, b and c for the two matrices built, f, the
+    boundary values and the flags (a new matrix at step 2)."""
+    w = np.zeros((4, n))
+    w[0], w[2], w[3] = rng.uniform(0.5, 1.0, (3, n))
+    w[1] = -(w[0] + w[2]) - rng.uniform(0.0, 1.0, n)
+    w[:3, [0, (n - 1) // 2, n - 1]] = [[0.0], [1.0], [0.0]]
+    return (w, 1e-3, 0.1, rng.uniform(0.5, 2.0, (3, 2, n - 2)),
+            np.arange(steps) == 2, rng.uniform(-5.0, 5.0, (steps, n - 2)),
+            rng.uniform(-1.0, 1.0, (steps, 2)))
+
+
+def run_advance(kernel, w, mu, dt, coefs, is_new, f, ends, start, audit=True):
+    """``kernel.advance`` from u[0] = start into zeroed outputs: the first
+    non-finite step (or -1), the norms, u and the bands."""
+    steps, n = len(f), w.shape[1]
+    u = np.zeros((steps + 1, n))
+    u[0] = start
+    bands = np.zeros((1 + np.count_nonzero(is_new[1:]), 4, n))
+    norms = np.zeros((steps, 3))
+    bad = kernel.advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms)
+    return bad, norms, u, bands
 
 
 def outcome(fn, sys):
@@ -102,31 +129,42 @@ class TestBitwiseEqualKernels:
         differ = advance_differ = 0
         for _ in range(50):
             sys = scaled_system(rng, int(rng.integers(3, 600)))
-            differ += (contracted.solve(sys)[0].tobytes()
-                       != solver._PYTHON_KERNEL.solve(sys)[0].tobytes())
-            op = StepOperator(sub=sys.sub, diag=sys.diag, sup=sys.sup,
-                              c4dt=rng.uniform(0.0, 10.0, sys.size))
-            f = rng.uniform(-5.0, 5.0, (3, sys.size - 2))
-            ends = rng.uniform(-1.0, 1.0, (3, 2))
-            runs = set()
-            for kernel in (contracted, solver._PYTHON_KERNEL):
-                u = np.zeros((4, sys.size))
-                u[0] = sys.rhs
-                norms, bad = kernel.advance(op, f, ends, u, True)
-                runs.add((bad, norms.tobytes(), u.tobytes()))
-            advance_differ += len(runs) - 1
+            differ += (contracted.solve(sys).tobytes()
+                       != solver._PYTHON_KERNEL.solve(sys).tobytes())
+            args = random_advance(rng, sys.size, 3)
+            runs = [run_advance(kernel, *args, sys.rhs)
+                    for kernel in (contracted, solver._PYTHON_KERNEL)]
+            advance_differ += len({(bad, norms.tobytes(), u.tobytes())
+                                   for bad, norms, u, _ in runs}) - 1
         assert (differ, advance_differ) == (50, 50)
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
+    def test_source_compiles_without_diagnostics(self, tmp_path):
+        proc = subprocess.run(["cc", *solver._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+                               str(tmp_path / "strict.so"), solver._SOURCE],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def example1_chunk(steps, n=64):
+    """example1's mesh at N = n, its weights and the a, b and c of its first
+    ``steps`` steps at dt = 1/64, as writable arrays."""
+    spec = lookup("example1", 1e-8, 1e-6)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, n, spec.d)
+    t_mid = (np.arange(steps)[:, None] + 0.5) / 64
+    coefs = [np.array(x) for x in sample_coefficients(spec, mesh, t_mid)[:3]]
+    return spec, mesh, stencil_weights(spec, mesh), coefs
 
 
 @pytest.mark.parametrize("nan_step,audit", [(None, True), (4, True), (None, False),
                                             (4, False)],
                          ids=["None", "4", "None-off", "4-off"])
-def test_advance_agrees_bitwise(monkeypatch, nan_step, audit):
-    """Values, per-step norms (zeros without audit) and the first non-finite
-    step of one segment: a fused solve, then five re-solves."""
-    spec = lookup("example1", 1e-8, 1e-6)
-    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
-    op = build_operator(spec, mesh, 1.0 / 64, sample_coefficients(spec, mesh, 0.5 / 64))
+def test_advance_agrees_bitwise(nan_step, audit):
+    """Values, per-step norms (zeros without audit), the built bands and the
+    first non-finite step of one chunk of six steps whose b changes at step
+    3: a build and fused solve, two re-solves, then again."""
+    spec, mesh, weights, coefs = example1_chunk(6)
+    coefs[1][3:] *= 1.5
     rng = np.random.default_rng(3)
     start = rng.uniform(-1.0, 1.0, 65)
     f = rng.uniform(-5.0, 5.0, (6, 63))
@@ -135,53 +173,100 @@ def test_advance_agrees_bitwise(monkeypatch, nan_step, audit):
         f[nan_step, 10] = np.nan
     results = set()
     for kernel in KERNELS:
-        monkeypatch.setattr(solver, "_KERNEL", kernel)
-        u = np.zeros((7, 65))
-        u[0] = start
-        norms, bad = kernel.advance(op, f, ends, u, audit)
+        bad, norms, u, bands = run_advance(kernel, weights, spec.params.mu, 1.0 / 64,
+                                           [x[[0, 3]] for x in coefs], np.arange(6) == 3, f,
+                                           ends, start, audit)
         done = 6 if bad < 0 else bad  # steps after a non-finite one are not taken
-        results.add((bad, norms[:, :done].tobytes(), u[:done + 1].tobytes()))
+        results.add((bad, norms[:done].tobytes(), u[:done + 1].tobytes(), bands.tobytes()))
         if not audit:
-            assert not norms[:, :done].any()
-    assert [bad for bad, _, _ in results] == [-1 if nan_step is None else nan_step]
+            assert not norms[:done].any()
+    assert [bad for bad, *_ in results] == [-1 if nan_step is None else nan_step]
+    for slot, k in enumerate((0, 3)):  # the matrices of build_operator
+        op = build_operator(spec, mesh, 1.0 / 64, [x[k] for x in coefs])
+        assert bands[slot].tobytes() == np.array([op.sub, op.diag, op.sup, op.c4dt]).tobytes()
 
 
-@pytest.mark.parametrize("row", [0, 17, 32, 64])
-def test_advance_raises_zero_pivot_at_the_same_row(row):
-    """A row scaled by 1e-310 puts its pivot below PIVOT_FLOOR; both kernels
-    stop at the first step's elimination and name that row."""
-    spec = lookup("example1", 1e-8, 1e-6)
-    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
-    op = build_operator(spec, mesh, 1.0 / 64, sample_coefficients(spec, mesh, 0.5 / 64))
-    bands = [band.copy() for band in (op.sub, op.diag, op.sup)]
-    for band in bands:
-        band[row] *= 1e-310
-    op = StepOperator(*bands, c4dt=op.c4dt)
+@pytest.mark.parametrize("row", [0, 1, 17, 32, 63, 64])
+def test_advance_raises_zero_pivot_at_the_same_row(monkeypatch, row):
+    """The weights of one row scaled by 1e-310, and a, b and c zero on it at
+    step 2, put its pivot below PIVOT_FLOOR in the new matrix of step 2 of a
+    chunk; rows 0, N/2 and N do not depend on t, so theirs fails at step 0.
+    Both kernels name the row and the step and leave the same bands, and
+    march names step j = j0 + 2 of its second chunk of three steps."""
+    spec, mesh, weights, coefs = example1_chunk(3)
+    weights[:3, row] *= 1e-310
+    step = 0 if row in (0, 32, 64) else 2
+    if step:
+        for x in coefs:
+            x[2, row - 1] = 0.0
     rng = np.random.default_rng(4)
     f = rng.uniform(-5.0, 5.0, (3, 63))
     ends = rng.uniform(-1.0, 1.0, (3, 2))
-    rows = []
+    caught = set()
     for kernel in KERNELS:
+        bands = np.zeros((2, 4, 65))  # the failed step's matrix is built in full
         with pytest.raises(ZeroPivot) as err:
-            kernel.advance(op, f, ends, np.zeros((4, 65)), True)
-        rows.append(err.value.row)
-    assert rows == [row] * len(KERNELS)
+            kernel.advance(weights, spec.params.mu, 1.0 / 64, [x[[0, 2]] for x in coefs],
+                           np.arange(3) == 2, f, ends, np.zeros((4, 65)), True, bands,
+                           np.zeros((3, 3)))
+        caught.add((err.value.row, err.value.step, bands.tobytes()))
+    assert [(got_row, got_step) for got_row, got_step, _ in caught] == [(row, step)]
+    if not step:
+        return
+    grid = uniform_time_grid(1.0, 8)
+    x_bad, t_bad = mesh.points[row], grid.times[6] - 0.5 * grid.dt  # step j = 5
+
+    def vanishing(fn):
+        return lambda x, t: np.where((x == x_bad) & (t == t_bad), 0.0, fn(x, t))
+
+    spec = dataclasses.replace(spec, a=PiecewiseField(vanishing(spec.a.left),
+                                                      vanishing(spec.a.right), spec.d),
+                               b=vanishing(spec.b), c=vanishing(spec.c))
+    monkeypatch.setattr(solver, "stencil_weights", lambda spec, mesh: weights)
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 3 * 8 * 63)
+    for kernel in KERNELS:
+        monkeypatch.setattr(solver, "_KERNEL", kernel)
+        with pytest.raises(ZeroPivot) as err:
+            march(spec, mesh, grid, CheckPolicy.off())
+        assert (err.value.row, str(err.value)) == (
+            row, f"zero pivot at row {row}, step j=5 (N=64, M=8)")
 
 
 @pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
 @pytest.mark.parametrize("case", ["short-band", "f-rows", "read-only-u"])
 def test_compiled_advance_checks_shapes_before_the_call(case):
     n = 9
-    bands = [np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)]
-    f, u = np.zeros((2, n - 2)), np.zeros((3, n))
-    if case == "short-band":
-        bands[2] = np.zeros(n - 1)
+    bands, f, u = np.zeros((2, 4, n)), np.zeros((2, n - 2)), np.zeros((3, n))
+    if case == "short-band":  # two new matrices need two slots
+        bands = np.zeros((1, 4, n))
     elif case == "f-rows":
         f = np.zeros((2, n))
     else:
         u.setflags(write=False)
     with pytest.raises(ValueError, match="advance got shapes"):
-        solver._KERNEL.advance(StepOperator(*bands), f, np.zeros((2, 2)), u, True)
+        solver._KERNEL.advance(np.zeros((4, n)), 1.0, 1.0, np.ones((3, 2, n - 2)),
+                               np.ones(2, bool), f, np.zeros((2, 2)), u, True, bands,
+                               np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("checks", [CheckPolicy.off(), CheckPolicy.strict_policy()],
+                         ids=["off", "strict"])
+def test_samples_constant_in_x_march_as_assembled(monkeypatch, checks):
+    """b and c that return scalars in x sample as stride-0 broadcasts over
+    the rows of a chunk; both kernels march bitwise as assembling and solving
+    every step afresh."""
+    base = lookup("example1", 1e-8, 1e-6)
+    spec = dataclasses.replace(base, b=lambda x, t: 2.0 + t, c=lambda x, t: 1.0 + 0.5 * t)
+    mesh = spatial_mesh_for(derive_regime(base), base.params, 256, base.d)
+    grid = uniform_time_grid(1.0, 16)
+    expected = np.zeros((17, 257))
+    for j in range(16):
+        sys = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, expected[j])
+        expected[j + 1] = thomas_solve(sys)
+        expected[j + 1, [0, -1]] = sys.rhs[[0, -1]]
+    for kernel in KERNELS:
+        monkeypatch.setattr(solver, "_KERNEL", kernel)
+        assert march(spec, mesh, grid, checks).values.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -217,7 +302,7 @@ def audit_stream(monkeypatch, kernel, checks, spec, mesh, grid):
         try:
             march(spec, mesh, grid, checks)
             error = None
-        except (NonFiniteValue, ResidualViolation) as exc:
+        except (MMatrixViolation, NonFiniteValue, ResidualViolation) as exc:
             error = (type(exc), str(exc))
     return error, [str(w.message) for w in caught if w.category is CheckWarning]
 
@@ -254,6 +339,34 @@ class TestAuditStream:
         else:
             assert error is None
             assert messages and "at step j=4 (" in messages[0]
+        assert all(stream == streams[0] for stream in streams)
+
+    @pytest.mark.parametrize("checks", [CheckPolicy(), CheckPolicy.strict_policy()],
+                             ids=["warn", "strict"])
+    def test_new_matrices_inside_one_chunk(self, monkeypatch, checks):
+        """Four matrices in one chunk of eight steps, two of them no
+        M-matrix (b = -50 on steps 2-3 and 6-7); f = 0 before t = 1/2 keeps
+        U = 0, with zero residuals, through step 3.  Each new matrix is
+        audited before the residuals of its steps."""
+        monkeypatch.setattr(solver, "RESIDUAL_RTOL", 0.0)
+        monkeypatch.setattr(solver, "_MATRIX_RTOL", 0.0)
+        spec, mesh, grid = example1_with_f(lambda t, f: np.where(t < 0.5, 0.0, f))
+        spec = dataclasses.replace(spec, b=lambda x, t: np.where(
+            t < 0.25, 1.0 + np.exp(x),
+            np.where((t >= 0.5) & (t < 0.75), 2.0 + np.exp(x), -50.0)))
+        streams = [audit_stream(monkeypatch, kernel, checks, spec, mesh, grid)
+                   for kernel in KERNELS]
+        m_matrix = ("M-matrix check failed at step j={} (N=32, M=8): ((1, 'positive "
+                    "off-diagonal'), (2, 'positive off-diagonal'), (3, 'positive "
+                    "off-diagonal'))")
+        residual = "solve residual {} exceeds 0.000e+00 at step j={} (N=32, M=8)"
+        if checks.strict:
+            assert streams[0] == ((MMatrixViolation, m_matrix.format(2)), [])
+        else:
+            assert streams[0] == (None, [
+                m_matrix.format(2), residual.format("1.137e-13", 4),
+                residual.format("1.137e-13", 5), m_matrix.format(6),
+                residual.format("7.105e-15", 6), residual.format("9.095e-13", 7)])
         assert all(stream == streams[0] for stream in streams)
 
 

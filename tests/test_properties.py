@@ -115,18 +115,16 @@ def with_reuse_runs(spec, t_jump):
 def test_march_is_bitwise_equal_under_both_kernels(shape, data):
     spec = make_spec(shape, data)
     mesh, grid = mesh_and_grid(spec)
-    # chunks of 3 steps: 0-2, 3-5 and a ragged 6-7; the variant's matrix
-    # changes at step 4, so it takes one advance call per matrix run per
-    # chunk: 0-2, 3 (continuing the run across the chunk boundary), 4-5
-    # (a new matrix mid-chunk) and 6-7
+    # chunks of 3 steps: 0-2, 3-5 and a ragged 6-7, one advance call each;
+    # the variant's matrix changes at step 4, mid-chunk
     variant = with_reuse_runs(spec, 4.0 * grid.dt)
-    for case, run_lengths in ((spec, None), (variant, [3, 1, 2, 2])):
+    for case in (spec, variant):
         results = set()
         for kernel in KERNELS:
             calls = []
 
             def advance(*args, kernel=kernel):
-                calls.append(len(args[1]))
+                calls.append(len(args[5]))
                 return kernel.advance(*args)
 
             with pytest.MonkeyPatch.context() as mp:
@@ -134,6 +132,5 @@ def test_march_is_bitwise_equal_under_both_kernels(shape, data):
                 mp.setattr(solver, "_CHUNK_BYTES", 3 * 8 * (N - 1))
                 sol = march(case, mesh, grid, CheckPolicy.strict_policy())
             results.add(sol.values.tobytes())
-            if run_lengths is not None:
-                assert calls == run_lengths
+            assert calls == [3, 3, 2]
         assert len(results) == 1

@@ -282,26 +282,29 @@ class TestMarch:
         kernel = solver_mod._KERNEL
         spec = zero_data_spec()
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
-        # one matrix: the first call starts the march; with chunks of 3
-        # steps the second call starts the next chunk mid-run, at step 3
-        for chunk_bytes, failing, j in ((solver_mod._CHUNK_BYTES, 0, 0),
-                                        (3 * 8 * 31, 1, 3)):
+        # one advance call per chunk, which names the step of its chunk
+        # whose pivot vanished, here step 2: j = 2 in one chunk of 6 steps;
+        # with chunks of 3 steps, j = 3 + 2 in the second call
+        for chunk_bytes, failing, j in ((solver_mod._CHUNK_BYTES, 0, 2),
+                                        (3 * 8 * 31, 1, 5)):
             calls = []
 
             def exploding(*args):
                 calls.append(args)
+                bad = kernel.advance(*args)
                 if len(calls) > failing:
-                    raise ZeroPivot(3)
-                return kernel.advance(*args)
+                    raise ZeroPivot(3, step=2)
+                return bad
 
             monkeypatch.setattr(solver_mod, "_KERNEL", kernel._replace(advance=exploding))
             monkeypatch.setattr(solver_mod, "_CHUNK_BYTES", chunk_bytes)
             with pytest.raises(ZeroPivot) as err:
-                solver_mod.march(spec, mesh, uniform_time_grid(1.0, 4),
+                solver_mod.march(spec, mesh, uniform_time_grid(1.0, 6),
                                  CheckPolicy())
+            assert len(calls) == failing + 1
             assert err.value.row == 3
             assert "N=32" in str(err.value)
-            assert "M=4" in str(err.value)
+            assert "M=6" in str(err.value)
             assert f"j={j}" in str(err.value)
 
     @pytest.mark.parametrize("b,checks_run", [
