@@ -2,8 +2,10 @@
    value is computed by the operations of the Python code it replaces
    (solver._solve_py and _advance_py, discretization._bands) in the same
    order; built with -ffp-contract=off, so that no a - b*c becomes a fused
-   multiply-add, it returns bitwise the same doubles as that code. */
+   multiply-add, it returns bitwise the same doubles as that code.
+   format_level writes the text solver._format_py writes, byte for byte. */
 #include <math.h>
+#include <string.h>
 
 #define PIVOT_FLOOR 1e-300 /* solver.PIVOT_FLOOR */
 
@@ -159,4 +161,82 @@ long thomas_advance(long steps, long n, long audit, double mu, double dt,
         x[n - 1] = rhs[n - 1];
     }
     return -1;
+}
+
+static const unsigned long long POW5[28] = { /* every 5^k below 2^64 */
+    1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125,
+    244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125,
+    3814697265625, 19073486328125, 95367431640625, 476837158203125, 2384185791015625,
+    11920928955078125, 59604644775390625, 298023223876953125, 1490116119384765625,
+    7450580596923828125};
+
+/* v as Python's '%.17g' % v writes it, into out; returns its length, or -1
+   unless v is zero, not finite or 1e-16 < |v| < 1e17 (the double 1e-16 is
+   below 10^-16).  With |v| = m 2^(e-52) and decimal exponent x, the 17
+   digits D = m 5^s 2^(e-52+s), s = 16 - x, are rounded half to even from
+   the exact 128-bit product, so they are the correctly rounded ones. */
+static long format_g17(double v, char *out)
+{
+    const char *word = isnan(v) ? "nan" : isinf(v) ? "inf" : v == 0.0 ? "0" : NULL;
+    char *p = out + (signbit(v) && !isnan(v)), buf[21] = "0000", *dig = buf + 4;
+    unsigned long long bits;
+    unsigned __int128 q;
+    *out = '-'; /* kept only when p is past it */
+    if (word)
+        return memcpy(p, word, strlen(word)), p - out + (long)strlen(word);
+    if (!(fabs(v) > 1e-16 && fabs(v) < 1e17))
+        return -1;
+    memcpy(&bits, &v, sizeof bits);
+    int e = (int)(bits >> 52 & 0x7ff) - 1023, x = e * 1233 >> 12; /* floor(e log10 2) */
+    for (x = x < -16 ? -16 : x;; x++) { /* x is the decimal exponent or one below */
+        int s = 16 - x, k = e - 52 + s;
+        q = (unsigned __int128)((bits & 0xfffffffffffffULL) | 1ULL << 52)
+            * POW5[s < 27 ? s : 27] * (s > 27 ? POW5[s - 27] : 1);
+        unsigned __int128 half = k < 0 ? (unsigned __int128)1 << (-k - 1) : 0,
+                          rem = k < 0 ? q & (2 * half - 1) : 0;
+        q = k < 0 ? q >> -k : q << k;
+        q += rem > half || (half && rem == half && (q & 1));
+        if (q < 100000000000000000ULL)
+            break;
+    }
+    unsigned hi = (unsigned)(q / 100000000), lo = (unsigned)(q % 100000000);
+    for (int i = 16; i > 8; i--, hi /= 10, lo /= 10) /* two independent chains */
+        dig[i] = (char)('0' + lo % 10), dig[i - 8] = (char)('0' + hi % 10);
+    dig[0] = (char)('0' + hi);
+    int nd = 17;
+    while (dig[nd - 1] == '0')
+        nd--;
+    int shift = x >= -4 && x < 0 ? -x : 0;
+    dig -= shift, nd += shift, x += shift; /* 0.000ddd is 000ddd at x = 0 */
+    int whole = x >= 0 && x <= 16 ? x + 1 : 1, frac = nd > whole ? nd - whole : 0;
+    memcpy(p, dig, whole); /* dig[nd:] are zeros */
+    p[whole] = '.';        /* kept only when digits follow it */
+    memcpy(p + whole + 1, dig + whole, frac);
+    p += whole + (frac > 0) + frac;
+    if (x < -4 || x > 16) { /* e-XX */
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        *p++ = (char)('0' + (x < 0 ? -x : x) / 10);
+        *p++ = (char)('0' + (x < 0 ? -x : x) % 10);
+    }
+    return p - out;
+}
+
+/* For each node i < n: lead, its piece xs[off[i]:off[i + 1]], u[i] as format_g17 writes
+   it and '\n', into out.  Returns the byte count, or -1 if format_g17 refuses a u[i]. */
+long format_level(long n, const char *lead, long lead_len, const char *xs,
+                  const long *off, const double *u, char *out)
+{
+    char *p = out;
+    for (long i = 0; i < n; i++) {
+        memcpy(p, lead, lead_len);
+        memcpy(p + lead_len, xs + off[i], off[i + 1] - off[i]);
+        p += lead_len + off[i + 1] - off[i];
+        long len = format_g17(u[i], p);
+        if (len < 0)
+            return -1;
+        p[len] = '\n';
+        p += len + 1;
+    }
+    return p - out;
 }

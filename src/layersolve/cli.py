@@ -32,7 +32,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 
-from . import analysis, registry
+from . import analysis, registry, solver
 from .errors import InvalidInput, LayerSolveError
 from .mesh import ThetaVariant, spatial_mesh_for, uniform_time_grid
 from .problem import derive_regime, validate
@@ -47,10 +47,10 @@ _CHECK_POLICIES = {
 }
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -59,24 +59,22 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-# The writers below yield one chunk per time level.  x is formatted once per
-# solve and each level's u row with a single % call; '%.17g' % v gives the
-# same text as f"{v:.17g}" for every double.
+# The writers below yield the bytes of one time level at a time: x and t are
+# formatted here, u by the kernel's format_level, in C or, without it or out of
+# its range, as '%.17g' % v, the same text as f"{v:.17g}" for every double.
 
-def _solution_csv(sol) -> Iterator[str]:
-    yield "t,x,u\n"
-    pieces = [f"{x:.17g},%.17g" for x in sol.mesh.points]
+def _solution_csv(sol) -> Iterator[bytes]:
+    yield b"t,x,u\n"
+    xs = tuple(f"{x:.17g},".encode() for x in sol.mesh.points)
     for t, row in zip(sol.grid.times, sol.values):
-        prefix = f"{t:.17g},"
-        template = prefix + ("\n" + prefix).join(pieces) + "\n"
-        yield template % tuple(row.tolist())
+        yield solver._KERNEL.format_level(f"{t:.17g},".encode(), xs, row)
 
 
-def _plot_data(sol) -> Iterator[str]:
-    body = "\n".join(f"{x:.17g} %.17g" for x in sol.mesh.points) + "\n"
+def _plot_data(sol) -> Iterator[bytes]:
+    xs = tuple(f"{x:.17g} ".encode() for x in sol.mesh.points)
     sep = ""
     for t, row in zip(sol.grid.times, sol.values):
-        yield f"{sep}# t={t:.17g}\n" + body % tuple(row.tolist())
+        yield f"{sep}# t={t:.17g}\n".encode() + solver._KERNEL.format_level(b"", xs, row)
         sep = "\n"
 
 
@@ -110,7 +108,7 @@ def _run_solve(args: argparse.Namespace) -> None:
 def _run_dump_mesh(args: argparse.Namespace) -> None:
     spec = registry.lookup(args.example, args.epsilon, args.mu)
     validate(spec)
-    _atomic_write(args.out_path, [_mesh_dump(_build_mesh(args, spec))])
+    _atomic_write(args.out_path, [_mesh_dump(_build_mesh(args, spec)).encode()])
 
 
 def _run_converge(args: argparse.Namespace) -> None:
@@ -132,7 +130,7 @@ def _run_converge(args: argparse.Namespace) -> None:
     os.makedirs(args.out_path, exist_ok=True)
     for rep in reports:
         path = os.path.join(args.out_path, analysis.report_filename(rep.epsilon, rep.mu))
-        _atomic_write(path, [analysis.render_report_csv(rep)])
+        _atomic_write(path, [analysis.render_report_csv(rep).encode()])
     sys.stdout.write(analysis.render_text_table(reports))
 
 
@@ -143,7 +141,7 @@ def _run_temporal(args: argparse.Namespace) -> None:
     man = registry.manufactured_sine()
     m_list = tuple(4 << k for k in range(m_top.bit_length() - 2))
     report = analysis.temporal_order_study(man, args.n, m_list, args.checks)
-    _atomic_write(args.out_path, [analysis.render_temporal_csv(report)])
+    _atomic_write(args.out_path, [analysis.render_temporal_csv(report).encode()])
 
 
 def _exit_status(exc: Exception) -> int:

@@ -11,14 +11,15 @@ steps that repeat it.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
-Python loops below; both give bitwise the same doubles.  ``KERNEL`` says
-which one was loaded: ``"c"`` or ``"python"``.
+Python loops below; both give bitwise the same doubles and the same solution
+text.  ``KERNEL`` says which one was loaded: ``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import tempfile
 import warnings
@@ -160,16 +161,22 @@ def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
     return -1
 
 
+def _format_py(lead: bytes, xs, row) -> bytes:
+    """For each node i: ``lead``, the piece xs[i], row[i] as '%.17g' and a newline."""
+    return b"".join(lead + x + b"%.17g\n" for x in xs) % tuple(np.asarray(row, float).tolist())
+
+
 class _Kernel(NamedTuple):
     """A solve, ``solve(sys) -> x``, and ``advance`` (:func:`_advance_py`),
-    both raising ZeroPivot."""
+    both raising ZeroPivot, and ``format_level`` (:func:`_format_py`)."""
 
     name: str
     solve: Callable
     advance: Callable
+    format_level: Callable
 
 
-_PYTHON_KERNEL = _Kernel("python", _solve_py, _advance_py)
+_PYTHON_KERNEL = _Kernel("python", _solve_py, _advance_py, _format_py)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
 # -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
@@ -178,12 +185,12 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
-    """Wrap ``thomas_solve`` and ``thomas_advance``."""
-    c_solve, c_advance = lib.thomas_solve, lib.thomas_advance
+    """Wrap ``thomas_solve``, ``thomas_advance`` and ``format_level``."""
+    c_solve, c_advance, c_format = lib.thomas_solve, lib.thomas_advance, lib.format_level
     c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
-    c_solve.restype = ctypes.c_long
     c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13
-    c_advance.restype = ctypes.c_long
+    c_format.argtypes = [ctypes.c_long, ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 3
+    c_solve.restype = c_advance.restype = c_format.restype = ctypes.c_long
 
     def solve(sys):
         bands = [np.ascontiguousarray(a, dtype=float)
@@ -212,7 +219,22 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
             raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
         return bad
 
-    return _Kernel("c", solve, advance)
+    @functools.lru_cache(maxsize=1)
+    def joined(xs):  # the x pieces of a solve, as one string and their offsets
+        return b"".join(xs), np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
+
+    def format_level(lead, xs, row):
+        text, off = joined(tuple(xs))
+        row = np.ascontiguousarray(row, dtype=float)
+        if row.shape != (len(xs),):
+            raise ValueError(f"format_level got {row.shape} values for {len(xs)} nodes")
+        # 24 bytes hold any '%.17g' of a double; a fresh buffer, since ctypes drops the GIL
+        out = np.empty(len(text) + len(row) * (len(lead) + 25), np.uint8)
+        size = c_format(len(row), lead, len(lead), text,
+                        *[a.ctypes.data for a in (off, row, out)])
+        return out[:size].tobytes() if size >= 0 else _format_py(lead, xs, row)
+
+    return _Kernel("c", solve, advance, format_level)
 
 
 def _load_kernel(directory: str) -> _Kernel:

@@ -1,15 +1,20 @@
 """Command-line interface: config validation, file outputs, determinism."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layersolve import UnknownExample, cli, parse_report_csv
+from layersolve import (CheckPolicy, UnknownExample, cli, derive_regime, march,
+                        parse_report_csv, solver, spatial_mesh_for, uniform_time_grid)
 from layersolve.cli import _atomic_write, main
 from layersolve.registry import lookup
+
+# a finite number as '%.17g' writes it
+G17 = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]{2,3})?")
 
 
 def run_cli(argv, capsys):
@@ -200,7 +205,7 @@ class TestOutputFailures:
         out.write_bytes(b"old\n")
 
         def chunks():
-            yield "t,x,u\n"
+            yield b"t,x,u\n"
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
@@ -230,6 +235,13 @@ class TestOutputBytes:
         assert run_cli(argv, capsys)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[command]
 
+    @pytest.mark.parametrize("command", [c for c in sorted(SHA256) if c[0] == "solve"])
+    def test_python_kernel_output_sha256(self, command, capsys, tmp_path, monkeypatch):
+        """The solve pins again under the Python kernel; the test above runs
+        the loaded one, the compiled kernel where cc is available."""
+        monkeypatch.setattr(solver, "_KERNEL", solver._PYTHON_KERNEL)
+        self.test_output_sha256(command, capsys, tmp_path)
+
     def test_temporal_output_sha256(self, capsys, tmp_path):
         # pinned apart from SHA256: temporal rejects the problem flags of ARGS
         out = tmp_path / "out.txt"
@@ -241,6 +253,35 @@ class TestOutputBytes:
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_percent_format_matches_fstring(self, v):
         assert "%.17g" % v == f"{v:.17g}"
+
+    def test_solution_csv_round_trips_every_value(self, capsys, tmp_path):
+        """Every line is t,x,u, and every u parses back to its double, bit for bit."""
+        out = tmp_path / "sol.csv"
+        argv = ["solve", "--example", "example1", "--epsilon", "1e-5", "--mu", "1e-4",
+                "--N", "64", "--M", "64", "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        spec = lookup("example1", 1e-5, 1e-4)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, spec.d)
+        sol = march(spec, mesh, uniform_time_grid(spec.t_final, 64), CheckPolicy())
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,x,u" and len(lines) == 1 + 65 * 65
+        fields = [line.split(",") for line in lines[1:]]
+        assert all(len(f) == 3 and all(G17.fullmatch(x) for x in f) for f in fields)
+        t, x, u = np.array([[float(v) for v in f] for f in fields]).T.reshape(3, 65, 65)
+        assert t.tobytes() == np.repeat(sol.grid.times, 65).tobytes()
+        assert x.tobytes() == np.tile(sol.mesh.points, 65).tobytes()
+        assert u.tobytes() == sol.values.tobytes()
+
+    @pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
+    def test_compiled_kernel_formats_every_level(self, capsys, tmp_path, monkeypatch):
+        """No level of a solve falls back to the Python formatter; a range
+        check that always refused would pass every byte pin above."""
+        calls = []
+        monkeypatch.setattr(solver, "_format_py",
+                            lambda *args: calls.append(args) or b"")
+        argv = ["solve", *self.ARGS, "--M", "16", "--out", str(tmp_path / "s.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+        assert calls == []
 
 
 class TestDumpMesh:

@@ -370,6 +370,47 @@ class TestAuditStream:
         assert all(stream == streams[0] for stream in streams)
 
 
+def powers_of_ten():
+    """10^k and both its neighbours for k = -320..308."""
+    for k in range(-320, 309):
+        v = float(f"1e{k}")
+        yield from (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+class TestFormatLevel:
+    """format_level writes lead, piece and u as '%.17g' does, byte for byte."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_every_float(self, kernel, v):
+        assert kernel.format_level(b"", [b""], [v]) == ("%.17g\n" % v).encode()
+
+    @pytest.mark.parametrize("values", [
+        [123456789012345.125, 123456789012345.375, -0.0, -np.nan],
+        list(powers_of_ten()),
+        [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e17, 0.0), 1e17],
+    ], ids=["ties-signs", "powers-of-ten", "notation-switches"])
+    def test_cases(self, kernel, values):
+        xs = [f"{i} ".encode() for i in range(len(values))]
+        expected = "".join(f"t,{i} " + "%.17g\n" % v for i, v in enumerate(values))
+        assert kernel.format_level(b"t,", xs, values) == expected.encode()
+
+    def test_ties_round_to_even(self, kernel):
+        assert kernel.format_level(b"", [b"", b""], [123456789012345.125, 123456789012345.375]
+                                   ) == b"123456789012345.12\n123456789012345.38\n"
+
+    def test_row_out_of_range_falls_back_whole(self, kernel, monkeypatch):
+        """1e-300 and 1e20 are outside the compiled formatter's exact range:
+        the C kernel hands the whole level to the Python formatter."""
+        calls, format_py = [], solver._format_py
+        monkeypatch.setattr(solver, "_format_py", lambda *a: calls.append(a) or format_py(*a))
+        values = [0.5, 1e-300, -2.75, 1e20]
+        text = kernel.format_level(b"", [b"x,"] * 4, np.array(values))
+        assert text == "".join("x,%.17g\n" % v for v in values).encode()
+        assert len(calls) == (kernel.name == "c")
+
+
 class TestLoader:
     def test_without_cc_falls_back_and_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PATH", str(tmp_path / "empty"))
