@@ -1,45 +1,15 @@
-/* Thomas elimination for layersolve.solver, loaded through ctypes.  Each
-   value is computed by the operations of the Python code it replaces
-   (solver._solve_py and _advance_py, discretization._bands) in the same
-   order; built with -ffp-contract=off, so that no a - b*c becomes a fused
-   multiply-add, it returns bitwise the same doubles as that code.
+/* The march kernel of layersolve.solver, loaded through ctypes.
+   thomas_advance is its one Thomas elimination: it builds each step matrix,
+   forms the right side and eliminates in one pass over the rows.  Each value
+   is computed by the operations of the Python code it replaces
+   (solver._advance_py and _solve_py, discretization._bands and step_rhs) in
+   the same order; built with -ffp-contract=off, so that no a - b*c becomes a
+   fused multiply-add, it returns bitwise the same doubles as that code.
    format_level writes the text solver._format_py writes, byte for byte. */
 #include <math.h>
 #include <string.h>
 
 #define PIVOT_FLOOR 1e-300 /* solver.PIVOT_FLOOR */
-
-static void back_substitute(long n, const double *c, double *x)
-{
-    double xi = x[n - 1];
-    for (long i = n - 2; i >= 0; i--)
-        x[i] = xi = x[i] - c[i] * xi;
-}
-
-/* Eliminate, writing the multipliers c and the pivots, then back-substitute
-   into x.  Returns -1, or the first row whose pivot has magnitude below
-   PIVOT_FLOOR (a NaN pivot is not below it). */
-long thomas_solve(long n, const double *sub, const double *diag,
-                  const double *sup, const double *rhs,
-                  double *c, double *piv, double *x)
-{
-    double p = diag[0];
-    if (fabs(p) < PIVOT_FLOOR)
-        return 0;
-    piv[0] = p;
-    c[0] = sup[0] / p;
-    x[0] = rhs[0] / p;
-    for (long i = 1; i < n; i++) {
-        p = diag[i] - sub[i] * c[i - 1];
-        if (fabs(p) < PIVOT_FLOOR)
-            return i;
-        piv[i] = p;
-        c[i] = sup[i] / p;
-        x[i] = (rhs[i] - sub[i] * x[i - 1]) / p;
-    }
-    back_substitute(n, c, x);
-    return -1;
-}
 
 /* Row i of A u as discretization._tridiagonal_apply forms it. */
 static double apply_row(long n, long i, const double *sub, const double *diag,
@@ -96,13 +66,14 @@ static void build_row(long n, long i, const double *w, double mu, double dt,
    At step 0 and at each step k with is_new[k] it builds the step matrix
    from w, mu, dt and the next row of a, b and cc (n - 2 samples each, one
    row per built matrix) into the next slot (4 n doubles) of bands, and
-   eliminates as thomas_solve, writing c and piv: row by row, each row built,
-   its rhs formed and eliminated in one pass.  The other steps sweep on c
-   and piv.  Then it writes max|A x - rhs|, max|rhs| and max|x| (zeros
-   without audit) into norms[3k..3k+2] and stores x, rows 0 and n - 1
-   pinned to the boundary values, as row k + 1.  Returns -1, the first step
-   whose x is not finite, or -2 - (k n + row) for a zero pivot at row of
-   step k, after building the rest of its matrix. */
+   eliminates as solver._solve_py, writing the multipliers c and the pivots
+   piv: row by row, each row built, its rhs formed and eliminated in one
+   pass.  The other steps sweep on c and piv.  Then it writes max|A x - rhs|,
+   max|rhs| and max|x| (zeros without audit) into norms[3k..3k+2] and stores
+   x, rows 0 and n - 1 pinned to the boundary values, as row k + 1.  Returns
+   -1, the first step whose x is not finite, or -2 - (k n + row) for the
+   first pivot of magnitude below PIVOT_FLOOR (a NaN pivot is not below it),
+   at row of step k, after building the rest of its matrix. */
 long thomas_advance(long steps, long n, long audit, double mu, double dt,
                     const double *w, const double *a, const double *b,
                     const double *cc, const unsigned char *is_new,
@@ -145,7 +116,8 @@ long thomas_advance(long steps, long n, long audit, double mu, double dt,
             }
             x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
         }
-        back_substitute(n, c, x);
+        for (long i = n - 2; i >= 0; i--)
+            x[i] = xi = x[i] - c[i] * xi;
         for (long i = 0; i < n; i++)
             if (!isfinite(x[i]))
                 return k;

@@ -19,14 +19,16 @@ transmission condition D+ U = D- U instead of the PDE.
 
 A step is assembled in three parts: sample a, b, c and f at t_mid
 (:func:`sample_coefficients`), build the matrix A from the first three
-(:func:`build_operator`), and form the right side from A itself and f
-(:func:`step_rhs`).  The samples are arrays over rows 1..N-1; a piecewise
-field takes its left branch below N/2 and its right branch from N/2 on
-(:func:`_on_rows`).  Row N/2 is sampled like the rows right of it, then
-overwritten by the transmission row.  A's t-independent part is one
-per-mesh array (:func:`stencil_weights`); a march's kernel builds each new
-matrix from it as :func:`build_operator` does.  A march whose a, b and c
-are bitwise equal to the previous step's, row N/2 included, reuses the matrix.
+(:func:`_bands`), and form the right side from A itself and f
+(:func:`step_rhs`).  A is one (4, N+1) array of bands, sub, diag, sup and
+4c/dt, the one representation of a step matrix.  The samples are arrays
+over rows 1..N-1; a piecewise field takes its left branch below N/2 and its
+right branch from N/2 on (:func:`_on_rows`).  Row N/2 is sampled like the
+rows right of it, then overwritten by the transmission row.  A's
+t-independent part is one per-mesh array (:func:`stencil_weights`); a
+march's kernel builds each new matrix from it as :func:`_bands` does.  A
+march whose a, b and c are bitwise equal to the previous step's, row N/2
+included, reuses the matrix.
 """
 
 from __future__ import annotations
@@ -42,10 +44,8 @@ __all__ = [
     "TridiagonalSystem",
     "MMatrixReport",
     "discontinuity_row",
-    "StepOperator",
     "sample_coefficients",
     "stencil_weights",
-    "build_operator",
     "step_rhs",
     "assemble",
     "m_matrix_check",
@@ -121,27 +121,6 @@ def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh, t_mid) -> tuple:
             _evaluate(spec.c, x, t_mid), _on_rows(spec.f, mesh, t_mid))
 
 
-@dataclass(frozen=True, eq=False)
-class StepOperator:
-    """The read-only matrix of one Crank-Nicolson step, without a right-hand side.
-
-    ``sub``, ``diag`` and ``sup`` are stored as in :class:`TridiagonalSystem`;
-    ``c4dt`` is 4c/dt on the PDE rows and 0 on rows 0, N/2 and N.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    c4dt: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.sub, self.diag, self.sup, self.c4dt):
-            arr.setflags(write=False)
-
-    def system(self, rhs: np.ndarray) -> TridiagonalSystem:
-        return TridiagonalSystem(self.sub, self.diag, self.sup, rhs)
-
-
 def stencil_weights(spec: ProblemSpec, mesh: SpatialMesh) -> np.ndarray:
     """The t-independent part of every step matrix, a (4, N+1) array by row:
     on PDE row i the weights 2eps/(h_i*(h_i+h_{i+1})), -2eps/(h_i*h_{i+1})
@@ -160,8 +139,15 @@ def stencil_weights(spec: ProblemSpec, mesh: SpatialMesh) -> np.ndarray:
 
 def _bands(w: np.ndarray, mu: float, dt: float, a_v, b_v, c_v) -> np.ndarray:
     """sub, diag, sup and c4dt of one step matrix, a (4, N+1) array, from
-    :func:`stencil_weights` and one step's a, b and c; ``thomas_advance``
-    builds it in C with the same operations in the same order."""
+    :func:`stencil_weights` and one step's a, b and c of
+    :func:`sample_coefficients`; ``thomas_advance`` builds it in C with the
+    same operations in the same order.
+
+    Rows 0 and N are identity rows, row N/2 is the transmission row and
+    every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with D*
+    upwind: D- below N/2 (a < 0 there), D+ above it.  c4dt is 4c/dt on
+    those rows and 0 on rows 0, N/2 and N.
+    """
     n = w.shape[1] - 1
     fixed = [0, n // 2, n]
     # entry k of each array below belongs to row k + 1
@@ -179,27 +165,17 @@ def _bands(w: np.ndarray, mu: float, dt: float, a_v, b_v, c_v) -> np.ndarray:
     return bands
 
 
-def build_operator(spec: ProblemSpec, mesh: SpatialMesh, dt: float,
-                   samples: tuple) -> StepOperator:
-    """The step matrix from the a, b and c of :func:`sample_coefficients`.
-
-    Rows 0 and N are identity rows, row N/2 is the transmission row and
-    every other row i is eps*d2 + mu*a*D* - cbar*I at x_i, negated, with D*
-    upwind: D- below N/2 (a < 0 there), D+ above it.
-    """
-    return StepOperator(*_bands(stencil_weights(spec, mesh), spec.params.mu, dt,
-                                *samples[:3]))
-
-
-def step_rhs(op: StepOperator, u_prev: np.ndarray, f: np.ndarray,
+def step_rhs(bands: np.ndarray, u_prev: np.ndarray, f: np.ndarray,
              p: float, r: float) -> np.ndarray:
-    """Right-hand side of the step advancing ``u_prev`` to t_next.
+    """Right-hand side of the step advancing ``u_prev`` to t_next, whose
+    matrix ``bands`` is the array of :func:`_bands`.
 
     On PDE rows the stored (negated) gtilde equals -2f + (4c/dt) U - A U,
     since A's diagonal holds cbar = dbar + 4c/dt, with f sampled at t_mid;
     rows 0 and N carry the boundary values p and r at t_next, row N/2 zero.
     """
-    rhs = op.c4dt * u_prev - _tridiagonal_apply(op.sub, op.diag, op.sup, u_prev)
+    sub, diag, sup, c4dt = bands
+    rhs = c4dt * u_prev - _tridiagonal_apply(sub, diag, sup, u_prev)
     rhs[1:-1] -= 2.0 * f
     rhs[0], rhs[-1] = p, r
     rhs[(len(rhs) - 1) // 2] = 0.0
@@ -212,15 +188,15 @@ def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
 
     Row 0 pins U_0 = p(t_next), row N pins U_N = r(t_next), row N/2 is the
     transmission row; every other row is the (negated) interior stencil of
-    :func:`build_operator` with the right side of :func:`step_rhs`.
+    :func:`_bands` with the right side of :func:`step_rhs`.
     """
     n = mesh.n
     if u_prev.shape != (n + 1,):
         raise ValueError(f"u_prev must have {n + 1} entries, got {u_prev.shape}")
-    samples = sample_coefficients(spec, mesh, t_next - 0.5 * dt)
-    op = build_operator(spec, mesh, dt, samples)
-    return op.system(step_rhs(op, u_prev, samples[3], float(spec.p(t_next)),
-                              float(spec.r(t_next))))
+    *coefs, f = sample_coefficients(spec, mesh, t_next - 0.5 * dt)
+    bands = _bands(stencil_weights(spec, mesh), spec.params.mu, dt, *coefs)
+    return TridiagonalSystem(*bands[:3], step_rhs(bands, u_prev, f, float(spec.p(t_next)),
+                                                  float(spec.r(t_next))))
 
 
 @dataclass(frozen=True)

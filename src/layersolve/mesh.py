@@ -82,7 +82,8 @@ def layer_params(regime: RegimeConstants, params: PerturbationParams,
         raise UnsupportedRegime(
             "regime is case (ii) (sqrt(alpha)*mu > sqrt(rho*eps)); the scheme is "
             "validated only for case (i).  Pass ThetaVariant.CASE2_EXPERIMENTAL "
-            "to proceed anyway.")
+            "(on the command line, --theta-variant case2-experimental) to proceed "
+            "anyway.")
     eps, mu = params.epsilon, params.mu
     if variant is ThetaVariant.CASE2_EXPERIMENTAL:
         return LayerParams(theta1=regime.alpha * mu / eps, theta2=regime.rho / (2.0 * mu))

@@ -7,12 +7,14 @@ catches conditioning pathologies at extreme eps instead of guessing at a
 remedy.  A march advances each chunk of steps in one kernel ``advance``
 call, which builds every new step matrix from the mesh's stencil weights,
 eliminating each row as it is built, and re-solves on its pivots for the
-steps that repeat it.
+steps that repeat it.  That is each kernel's one elimination.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
 Python loops below; both give bitwise the same doubles and the same solution
 text.  ``KERNEL`` says which one was loaded: ``"c"`` or ``"python"``.
+:func:`thomas_solve`, for one assembled system, runs the Python kernel's
+loop :func:`_solve_py` under either.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .discretization import (StepOperator, TridiagonalSystem, _bands, _tridiagonal_apply,
-                             m_matrix_check, sample_coefficients, stencil_weights,
-                             step_rhs)
+from .discretization import (TridiagonalSystem, _bands, _tridiagonal_apply, m_matrix_check,
+                             sample_coefficients, stencil_weights, step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
@@ -103,7 +104,7 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
     """
     if sys.size < 3:
         raise ValueError("system must have at least 3 rows")
-    return _KERNEL.solve(sys)
+    return _solve_py(sys)
 
 
 def _solve_py(sys: TridiagonalSystem) -> np.ndarray:
@@ -146,8 +147,7 @@ def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
         if k == 0 or is_new[k]:
             band, *samples = next(built)
             band[:] = _bands(w, mu, dt, *samples)
-            op = StepOperator(*band)
-        sys = op.system(step_rhs(op, u[k], f[k], p, r))
+        sys = TridiagonalSystem(*band[:3], step_rhs(band, u[k], f[k], p, r))
         try:
             x = _solve_py(sys)
         except ZeroPivot as exc:
@@ -167,16 +167,15 @@ def _format_py(lead: bytes, xs, row) -> bytes:
 
 
 class _Kernel(NamedTuple):
-    """A solve, ``solve(sys) -> x``, and ``advance`` (:func:`_advance_py`),
-    both raising ZeroPivot, and ``format_level`` (:func:`_format_py`)."""
+    """``advance`` (:func:`_advance_py`), raising ZeroPivot, and
+    ``format_level`` (:func:`_format_py`)."""
 
     name: str
-    solve: Callable
     advance: Callable
     format_level: Callable
 
 
-_PYTHON_KERNEL = _Kernel("python", _solve_py, _advance_py, _format_py)
+_PYTHON_KERNEL = _Kernel("python", _advance_py, _format_py)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
 # -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
@@ -185,21 +184,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
-    """Wrap ``thomas_solve``, ``thomas_advance`` and ``format_level``."""
-    c_solve, c_advance, c_format = lib.thomas_solve, lib.thomas_advance, lib.format_level
-    c_solve.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 7
+    """Wrap ``thomas_advance`` and ``format_level``."""
+    c_advance, c_format = lib.thomas_advance, lib.format_level
     c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13
     c_format.argtypes = [ctypes.c_long, ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 3
-    c_solve.restype = c_advance.restype = c_format.restype = ctypes.c_long
-
-    def solve(sys):
-        bands = [np.ascontiguousarray(a, dtype=float)
-                 for a in (sys.sub, sys.diag, sys.sup, sys.rhs)]
-        c, piv, x = out = [np.empty(sys.size) for _ in range(3)]
-        row = c_solve(sys.size, *[a.ctypes.data for a in bands + out])
-        if row >= 0:
-            raise ZeroPivot(row)
-        return x
+    c_advance.restype = c_format.restype = ctypes.c_long
 
     def advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
         steps, n = len(f), np.shape(w)[-1]
@@ -234,7 +223,7 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
                         *[a.ctypes.data for a in (off, row, out)])
         return out[:size].tobytes() if size >= 0 else _format_py(lead, xs, row)
 
-    return _Kernel("c", solve, advance, format_level)
+    return _Kernel("c", advance, format_level)
 
 
 def _load_kernel(directory: str) -> _Kernel:

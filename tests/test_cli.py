@@ -161,6 +161,16 @@ class TestConfigValidation:
         assert err.startswith("error: LayersOverlap:")
         assert "\n" not in err.strip()
 
+    def test_case_ii_regime_names_the_cli_flag(self, capsys, tmp_path):
+        # sqrt(alpha)*mu > sqrt(rho*eps): case (ii), which needs the variant
+        out = tmp_path / "u.csv"
+        code, _, err = run_cli(["solve", "--N", "16", "--M", "4", "--epsilon", "1e-8",
+                                "--mu", "1e-2", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: UnsupportedRegime:") and err.count("\n") == 1
+        assert "--theta-variant case2-experimental" in err
+        assert not out.exists()
+
 
 class TestOutputFailures:
     MESH_ARGS = ["dump-mesh", "--epsilon", "1e-5", "--mu", "1e-4", "--N", "16"]
