@@ -26,9 +26,7 @@ over rows 1..N-1; a piecewise field takes its left branch below N/2 and its
 right branch from N/2 on (:func:`_on_rows`).  Row N/2 is sampled like the
 rows right of it, then overwritten by the transmission row.  A's
 t-independent part is one per-mesh array (:func:`stencil_weights`); a
-march's kernel builds each new matrix from it as :func:`_bands` does.  A
-march whose a, b and c are bitwise equal to the previous step's, row N/2
-included, reuses the matrix.
+march's kernel builds each new matrix from it as :func:`_bands` does.
 """
 
 from __future__ import annotations
@@ -99,26 +97,37 @@ def discontinuity_row(mesh: SpatialMesh) -> tuple[float, float, float]:
     return -1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp
 
 
-def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t) -> np.ndarray:
-    """field at (x_i, t) for i = 1..N-1: left branch below N/2, right from N/2 on."""
-    mid = mesh.n // 2
-    return np.concatenate((_evaluate(field.left, mesh.points[1:mid], t),
-                           _evaluate(field.right, mesh.points[mid:-1], t)), axis=-1)
+def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t, out=None) -> np.ndarray:
+    """a or f, as :func:`sample_coefficients` samples them; ``out`` is ``last``'s array."""
+    mid, x = mesh.n // 2 - 1, mesh.points[1:-1]
+    shape, right = np.broadcast(x, t).shape, None
+    left = _evaluate(field.left, x[:mid], t)
+    if len(shape) == 2 and not left.strides[0]:
+        right = _evaluate(field.right, x[mid:], t)
+        if not right.strides[0]:
+            return np.broadcast_to(np.concatenate((left[0], right[0])), shape)
+    rows = out[:len(t)] if out is not None and out.flags.writeable else np.empty(shape)
+    rows[..., :mid], left = left, None  # let go of left before right is evaluated
+    rows[..., mid:] = _evaluate(field.right, x[mid:], t) if right is None else right
+    return rows
 
 
-def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh, t_mid) -> tuple:
+def sample_coefficients(spec: ProblemSpec, mesh: SpatialMesh, t_mid, last=None) -> tuple:
     """a, b, c and f at (x_i, t_mid) for rows i = 1..N-1: four arrays.
 
     a and f take their left branch below N/2 and their right branch from
-    N/2 on.  A column of times (shape (steps, 1)) gives one row per time.
-    Row N/2 is sampled but its matrix row is the transmission row, which
-    overwrites it.  Together with the mesh, dt, eps and mu, a, b and c
-    determine the step's matrix, so a march that finds all three arrays
-    bitwise equal to the previous step's (row N/2 included) reuses it.
+    N/2 on, written into the arrays of ``last``, an earlier result on as many
+    times or more, where it owns them.  A column of times (shape (steps, 1))
+    gives one row per time, or one row broadcast over them (stride 0) for a
+    sample constant in t.  Row N/2 is sampled but its matrix row is the
+    transmission row, which overwrites it.  Together with the mesh, dt, eps
+    and mu, a, b and c determine the step's matrix, so a march that finds
+    all three arrays bitwise equal to the previous step's (row N/2
+    included) reuses it.
     """
-    x = mesh.points[1:-1]
-    return (_on_rows(spec.a, mesh, t_mid), _evaluate(spec.b, x, t_mid),
-            _evaluate(spec.c, x, t_mid), _on_rows(spec.f, mesh, t_mid))
+    x, (a, _, _, f) = mesh.points[1:-1], last or (None,) * 4
+    return (_on_rows(spec.a, mesh, t_mid, a), _evaluate(spec.b, x, t_mid),
+            _evaluate(spec.c, x, t_mid), _on_rows(spec.f, mesh, t_mid, f))
 
 
 def stencil_weights(spec: ProblemSpec, mesh: SpatialMesh) -> np.ndarray:

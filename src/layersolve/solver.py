@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import os
 import tempfile
 import warnings
@@ -55,7 +54,7 @@ PIVOT_FLOOR = 1e-300
 RESIDUAL_RTOL = 1e-10
 STABILITY_SLACK = 1e-8
 _MATRIX_RTOL = 100.0 * np.finfo(float).eps
-_CHUNK_BYTES = 128 * 1024  # per array (a, b, c or f) of a march's chunk of steps
+_CHUNK_BYTES = 384 * 1024  # per array (a, b, c or f) of a march's chunk of steps
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,7 @@ def _solve_py(sys: TridiagonalSystem) -> np.ndarray:
     return np.array(x)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a step made non-finite is returned, not warned
 def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
     """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r) by
     :func:`_solve_py`, after building the step matrix from ``w`` and the next
@@ -208,12 +208,15 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
             raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
         return bad
 
-    @functools.lru_cache(maxsize=1)
-    def joined(xs):  # the x pieces of a solve, as one string and their offsets
-        return b"".join(xs), np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
+    # (x pieces, joined text, offsets) of the last call; holding the pieces
+    # keeps another tuple from taking their id
+    last = [(None,)]
 
     def format_level(lead, xs, row):
-        text, off = joined(tuple(xs))
+        entry = last[0]
+        if entry[0] is not (xs := tuple(xs)):
+            entry = last[0] = xs, b"".join(xs), np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
+        _, text, off = entry
         row = np.ascontiguousarray(row, dtype=float)
         if row.shape != (len(xs),):
             raise ValueError(f"format_level got {row.shape} values for {len(xs)} nodes")
@@ -282,22 +285,6 @@ def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
                                - sys.rhs)))
 
 
-def _f_sup(spec: ProblemSpec) -> float:
-    xs_l, xs_r, ts = _sample_grids(spec)
-    sup = 0.0
-    for xs, fn in ((xs_l, spec.f.left), (xs_r, spec.f.right)):
-        sup = max(sup, float(np.max(np.abs(_sample(fn, xs, ts)))))
-    return sup
-
-
-def _data_sup(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid) -> float:
-    p_vals = np.array([float(spec.p(t)) for t in grid.times])
-    r_vals = np.array([float(spec.r(t)) for t in grid.times])
-    q_vals = _evaluate(spec.q, mesh.points)
-    return float(max(np.max(np.abs(p_vals)), np.max(np.abs(r_vals)),
-                     np.max(np.abs(q_vals))))
-
-
 def _fail(strict: bool, exc_type, message: str) -> None:
     if strict:
         raise exc_type(message)
@@ -325,14 +312,17 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     if not np.all(np.isfinite(values[0])):
         raise NonFiniteValue("initial data contains non-finite values")
 
-    chunk = max(1, _CHUNK_BYTES // (8 * (n - 1)))
+    chunk = min(grid.m, max(1, _CHUNK_BYTES // (8 * (n - 1))))
     weights = stencil_weights(spec, mesh)
-    prev = row_scale = None
+    # chunk arrays are kept for the march, as freeing them per chunk costs page
+    # faults; slots grow to the most new matrices a chunk has had
+    sampled = prev = row_scale = None
+    norms, slots = np.empty((chunk, 3)), np.empty((0, 4, n + 1))
     for j0 in range(0, grid.m, chunk):
         t_next = grid.times[j0 + 1:j0 + 1 + chunk]
         t_mid = t_next - 0.5 * grid.dt
         try:  # one call per callable and branch on the (steps x rows) grid
-            *coefs, f = sample_coefficients(spec, mesh, t_mid[:, None])
+            *coefs, f = sampled = sample_coefficients(spec, mesh, t_mid[:, None], sampled)
         except (TypeError, ValueError):  # a callable that takes only a float t
             *coefs, f = map(np.stack, zip(*(sample_coefficients(spec, mesh, t)
                                             for t in t_mid.tolist())))
@@ -341,18 +331,22 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         new = np.zeros(len(f), dtype=bool)
         for i, x in enumerate(coefs):
             bits = x.view(np.int64)
-            new[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
             new[0] |= prev is None or bool((bits[0] != prev[i]).any())
+            if bits.strides[0]:  # not broadcast over the steps: element 0, else the row
+                new[1:] |= bits[1:, 0] != bits[:-1, 0]
+                tie = np.flatnonzero(~new[1:]) + 1
+                new[tie] = (bits[tie] != bits[tie - 1]).any(axis=1)
         prev = [x[-1].view(np.int64).copy() for x in coefs]
         # segments: from the chunk's first step and each later new matrix,
-        # whose matrix the kernel builds from its samples into a slot of bands
+        # whose matrix the kernel builds from its samples into the next slot
         starts = [0, *(np.flatnonzero(new[1:]) + 1).tolist()]
-        bands, norms = np.empty((len(starts), 4, n + 1)), np.empty((len(f), 3))
+        slots = slots if len(slots) >= len(starts) else np.empty((len(starts), 4, n + 1))
         try:
             bad, pivot = _KERNEL.advance(weights, spec.params.mu, grid.dt,
+                                         coefs if len(starts) == len(f) else
                                          [x[starts] for x in coefs], new, f, ends,
-                                         values[j0:j0 + len(f) + 1], checks.audit, bands,
-                                         norms), None
+                                         values[j0:j0 + len(f) + 1], checks.audit,
+                                         slots[:len(starts)], norms[:len(f)]), None
         except ZeroPivot as exc:
             bad, pivot = exc.step, exc
         # audits in step order, up to a failed step: each new matrix, then
@@ -361,7 +355,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             if not checks.audit or k > bad >= 0:
                 break
             if new[k]:
-                sub, diag, sup = bands[slot, :3]
+                sub, diag, sup = slots[slot, :3]
                 row_scale = float(np.max(np.abs(sub) + np.abs(diag) + np.abs(sup)))
                 report = m_matrix_check(TridiagonalSystem(sub, diag, sup, np.zeros(n + 1)))
                 if not report.passed:
@@ -413,8 +407,11 @@ def stability_audit(sol: DiscreteSolution, spec: ProblemSpec) -> AuditReport:
     The only statement of the a priori bound.  max |U| is bitwise
     ``np.max(np.abs(values))``, NaN included, but copies no values.
     """
-    data_sup = _data_sup(spec, sol.mesh, sol.grid)
-    f_sup = _f_sup(spec)
+    p_max, r_max = np.abs([(float(spec.p(t)), float(spec.r(t))) for t in sol.grid.times]).max(0)
+    data_sup = float(max(p_max, r_max, np.max(np.abs(_evaluate(spec.q, sol.mesh.points)))))
+    xs_l, xs_r, ts = _sample_grids(spec)
+    f_sup = max(0.0, *(float(np.max(np.abs(_sample(fn, xs, ts))))
+                       for xs, fn in ((xs_l, spec.f.left), (xs_r, spec.f.right))))
     bound = data_sup + f_sup / spec.beta + STABILITY_SLACK
     max_abs = abs(max(float(sol.values.max()), -float(sol.values.min())))
     return AuditReport(max_abs=max_abs, data_sup=data_sup, f_sup=f_sup,

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
                         ProblemSpec, TridiagonalSystem,
                         assemble, discontinuity_row, lookup, m_matrix_check,
-                        spatial_mesh_for, derive_regime, thomas_solve)
+                        spatial_mesh_for, derive_regime, thomas_solve, uniform_mesh)
+from layersolve.discretization import sample_coefficients
 from layersolve.mesh import SpatialMesh
+from layersolve.problem import _evaluate
 
 # Interior-row fixtures: uniform 9-point mesh (h = 1/8, d = 0.5 at index 4),
 # example-1 coefficients, t_mid = 0.4921875, dt = 1/64, u_prev below.
@@ -294,6 +296,73 @@ class TestAssemble:
         mesh = nine_point_mesh()
         sys = assemble(spec, mesh, 0.25, 0.25, np.zeros(9))
         assert np.array_equal(thomas_solve(sys), np.zeros(9))
+
+
+def concatenated_rows(field, mesh, t):
+    """The branches of ``field`` on rows 1..N-1, one copy joined along x."""
+    mid = mesh.n // 2
+    return np.concatenate((_evaluate(field.left, mesh.points[1:mid], t),
+                           _evaluate(field.right, mesh.points[mid:-1], t)), axis=-1)
+
+
+def t_constant(x):
+    return -(1.0 + x * (1.0 - x))
+
+
+def t_dependent(x, t):
+    return (1.0 + x * (1.0 - x)) * (1.0 + t)
+
+
+class TestSampleCoefficients:
+    """a and f bitwise as one joined copy of the branches would be."""
+
+    T_COLUMN = np.array([0.1, 0.35, 0.6])[:, None]
+
+    @staticmethod
+    def spec_with(left, right):
+        return plain_spec(a_left=left, a_right=right, f_left=left, f_right=right,
+                          b=lambda x, t: 1.0, c=lambda x, t: 1.0, p=lambda t: 0.0,
+                          r=lambda t: 0.0, q=lambda x: 0.0 * x, epsilon=1e-8, mu=1e-6)
+
+    @pytest.mark.parametrize("left,right,broadcast", [
+        (lambda x, t: t_constant(x), lambda x, t: -t_constant(x), True),
+        (lambda x, t: t_constant(x), t_dependent, False),
+        (t_dependent, lambda x, t: -t_constant(x), False),
+        (lambda x, t: -1.0, lambda x, t: 2.5, True),
+    ], ids=["both-t-constant", "left-t-constant", "right-t-constant", "scalars"])
+    def test_column_of_times(self, left, right, broadcast):
+        spec, mesh = self.spec_with(left, right), uniform_mesh(64)
+        a, _, _, f = sample_coefficients(spec, mesh, self.T_COLUMN)
+        want = concatenated_rows(spec.a, mesh, self.T_COLUMN)
+        for got in (a, f):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert (got.strides[0] == 0) is broadcast
+
+    def test_float_t_only_callable_is_sampled_per_time(self):
+        def left(x, t):
+            return t_constant(x) * (1.0 if t < 0.5 else 2.0)
+
+        spec, mesh = self.spec_with(left, t_dependent), uniform_mesh(64)
+        with pytest.raises(ValueError):
+            sample_coefficients(spec, mesh, self.T_COLUMN)
+        for t in self.T_COLUMN[:, 0].tolist():
+            a, _, _, f = sample_coefficients(spec, mesh, t)
+            want = concatenated_rows(spec.a, mesh, t).tobytes()
+            assert a.tobytes() == f.tobytes() == want
+
+    def test_next_chunk_is_written_into_the_last_ones_arrays(self):
+        spec, mesh = self.spec_with(lambda x, t: t_constant(x), t_dependent), uniform_mesh(64)
+        last = sample_coefficients(spec, mesh, self.T_COLUMN)
+        kept = [x.copy() for x in last]
+        later = self.T_COLUMN[:2] + 0.5
+        a, b, c, f = sample_coefficients(spec, mesh, later, last)
+        want = concatenated_rows(spec.a, mesh, later).tobytes()
+        assert a.tobytes() == f.tobytes() == want
+        assert np.shares_memory(a, last[0]) and np.shares_memory(f, last[3])
+        # rows the later call did not reach, and b and c, are left as they were
+        assert all(x[2:].tobytes() == y[2:].tobytes() for x, y in zip(last, kept))
+        assert not np.shares_memory(b, last[1]) and not np.shares_memory(c, last[2])
 
 
 class TestMMatrixCheck:

@@ -97,11 +97,10 @@ def advance_outcome(kernel, sys):
     w[:3] = [-sys.sub, -sys.diag, -sys.sup]
     w[:3, fixed] = [sys.sub[fixed], sys.diag[fixed], sys.sup[fixed]]
     u, bands, norms = np.zeros((2, n)), np.zeros((1, 4, n)), np.zeros((1, 3))
-    try:  # a band of inf times u[0] = 0 is a NaN: not worth a warning
-        with np.errstate(invalid="ignore"):
-            bad = kernel.advance(w, 1.0, 1.0, np.zeros((3, 1, n - 2)), np.ones(1, bool),
-                                 -0.5 * sys.rhs[None, 1:-1], sys.rhs[None, [0, -1]], u,
-                                 True, bands, norms)
+    try:
+        bad = kernel.advance(w, 1.0, 1.0, np.zeros((3, 1, n - 2)), np.ones(1, bool),
+                             -0.5 * sys.rhs[None, 1:-1], sys.rhs[None, [0, -1]], u,
+                             True, bands, norms)
     except ZeroPivot as exc:
         bad = (exc.row, exc.step)
     taken = int(bad == -1)
@@ -288,6 +287,22 @@ def test_samples_constant_in_x_march_as_assembled(monkeypatch, checks):
     for kernel in KERNELS:
         monkeypatch.setattr(solver, "_KERNEL", kernel)
         assert march(spec, mesh, grid, checks).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_inf_coefficient_raises_without_runtime_warnings(monkeypatch, kernel):
+    """b = inf from step j = 4 on, where U is still 0 (f = 0), so inf * 0 makes
+    the step's right side NaN: NonFiniteValue, and no numpy RuntimeWarning."""
+    base = lookup("example1", 1e-8, 1e-6)
+    spec = dataclasses.replace(
+        base, b=lambda x, t: np.where(t > 0.5, np.inf, 1.0 + np.exp(x)),
+        f=PiecewiseField(left=lambda x, t: 0.0 * x, right=lambda x, t: 0.0 * x, d=base.d))
+    mesh = spatial_mesh_for(derive_regime(base), base.params, 32, base.d)
+    monkeypatch.setattr(solver, "_KERNEL", kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="step j=4 "):
+            march(spec, mesh, uniform_time_grid(1.0, 8), CheckPolicy.off())
 
 
 def example1_with_f(f_of):

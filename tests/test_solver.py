@@ -1,5 +1,6 @@
 """Thomas elimination, time marching, runtime audits."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -307,12 +308,25 @@ class TestMarch:
             assert "M=6" in str(err.value)
             assert f"j={j}" in str(err.value)
 
-    @pytest.mark.parametrize("b,checks_run", [
-        (None, 1),
-        (lambda x, t: (1.0 + np.exp(x)) * (1.0 if t < 0.5 else 1.5), 2),
-        (lambda x, t: (1.0 + np.exp(x)) * (1.0 + t), 8),
-    ], ids=["t-independent", "jump-at-half", "t-dependent"])
-    def test_matrix_reuse_matches_per_step_stream(self, monkeypatch, b,
+    @pytest.mark.parametrize("make,checks_run", [
+        (lambda base: base, 1),
+        (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x)) * (1.0 if t < 0.5 else 1.5)),
+         2),
+        (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x)) * (1.0 + t)), 8),
+        # element 0 (x_1) of b is the same at every step: only the full row tells
+        (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x))
+                             * np.where(x > 0.9, 1.0 + t, 1.0)), 8),
+        (lambda base: dataclasses.replace(base, a=PiecewiseField(
+            left=base.a.left, right=lambda x, t: base.a.right(x, t) * (1.0 + t),
+            d=base.d)), 8),
+        # a new a at each chunk's first step when chunks hold 2 steps: the last
+        # rows kept to compare with must survive sampling into the same arrays
+        (lambda base: dataclasses.replace(base, a=PiecewiseField(
+            left=base.a.left, d=base.d,
+            right=lambda x, t: base.a.right(x, t) * (1.0 + np.floor(4.0 * t) / 4.0))), 4),
+    ], ids=["t-independent", "jump-at-half", "t-dependent", "b-new-beyond-x-0.9",
+            "a-right-t-dependent", "a-new-at-chunk-starts"])
+    def test_matrix_reuse_matches_per_step_stream(self, monkeypatch, make,
                                                   checks_run):
         import layersolve.solver as solver_mod
         calls = []
@@ -324,12 +338,17 @@ class TestMarch:
 
         monkeypatch.setattr(solver_mod, "m_matrix_check", counting)
         base = lookup("example1", 1e-8, 1e-6)
-        spec = base if b is None else with_b(base, b)
+        spec = make(base)
         mesh = spatial_mesh_for(derive_regime(base), base.params, 32, 0.5)
         grid = uniform_time_grid(1.0, 8)
-        sol = march(spec, mesh, grid, CheckPolicy.strict_policy())
-        assert len(calls) == checks_run
-        assert np.array_equal(sol.values, per_step_stream(spec, mesh, grid))
+        expected = per_step_stream(spec, mesh, grid)
+        # one chunk, then chunks of 2 steps, each sampled into the last one's arrays
+        for chunk_bytes in (solver_mod._CHUNK_BYTES, 2 * 8 * 31):
+            monkeypatch.setattr(solver_mod, "_CHUNK_BYTES", chunk_bytes)
+            calls.clear()
+            sol = march(spec, mesh, grid, CheckPolicy.strict_policy())
+            assert len(calls) == checks_run
+            assert np.array_equal(sol.values, expected)
 
     def test_non_finite_initial_data_raises(self):
         spec = zero_data_spec()
@@ -422,6 +441,28 @@ class TestStabilityAudit:
         finally:
             tracemalloc.stop()
         assert peak - sol.values.nbytes <= 1 << 20
+
+    def test_unaudited_march_allocates_at_most_4mb_beyond_its_values(self):
+        # the benchmark's march-4096 march at N = 1024, a new matrix every
+        # step: its chunk arrays are allocated once per march, not per M
+        base = lookup("example1", 1e-8, 1e-6)
+        spec = dataclasses.replace(
+            base, b=lambda x, t: (1.0 + np.exp(x)) * (1.0 + t), c=lambda x, t: 1.0 + 0.5 * t,
+            a=PiecewiseField(left=lambda x, t: base.a.left(x, t) * (1.0 + 0.5 * t),
+                             right=lambda x, t: base.a.right(x, t) * (1.0 + 0.5 * t),
+                             d=base.d))
+        mesh = spatial_mesh_for(derive_regime(base), base.params, 1024, base.d)
+        extra = {}
+        for m in (256, 4096):
+            tracemalloc.start()
+            try:
+                sol = march(spec, mesh, uniform_time_grid(1.0, m), CheckPolicy.off())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[m] = peak - sol.values.nbytes
+        assert extra[256] <= 4 << 20
+        assert extra[4096] <= extra[256] + (64 << 10)
 
     @pytest.mark.parametrize("case", ["signed-zeros", "finite", "nan"])
     def test_max_abs_is_bitwise_numpy_abs_max(self, case):
