@@ -5,15 +5,15 @@
    (solver._advance_py and _solve_py, discretization._bands and step_rhs) in
    the same order; built with -ffp-contract=off, so that no a - b*c becomes a
    fused multiply-add, it returns bitwise the same doubles as that code.
-   format_level writes the text solver._format_py writes, byte for byte. */
+   format_levels writes the text solver._format_py writes, byte for byte. */
 #include <math.h>
 #include <string.h>
 
 #define PIVOT_FLOOR 1e-300 /* solver.PIVOT_FLOOR */
 
 /* Row i of A u as discretization._tridiagonal_apply forms it. */
-static double apply_row(long n, long i, const double *sub, const double *diag,
-                        const double *sup, const double *u)
+static inline double apply_row(long n, long i, const double *sub, const double *diag,
+                               const double *sup, const double *u)
 {
     double y = diag[i] * u[i];
     if (i > 0)
@@ -28,6 +28,16 @@ static double max_abs(double m, double v)
 {
     v = fabs(v);
     return (v > m || isnan(v)) ? v : m;
+}
+
+/* Row i's |A x - rhs|, |rhs| and |x| into the maxima m[0], m[1] and m[2]. */
+static inline void take_norms(long n, long i, const double *sub, const double *diag,
+                              const double *sup, const double *x, const double *rhs,
+                              double *m)
+{
+    m[0] = max_abs(m[0], apply_row(n, i, sub, diag, sup, x) - rhs[i]);
+    m[1] = max_abs(m[1], rhs[i]);
+    m[2] = max_abs(m[2], x[i]);
 }
 
 /* Row i of the step matrix's bands (sub, diag, sup and c4dt, n each) into
@@ -68,9 +78,10 @@ static void build_row(long n, long i, const double *w, double mu, double dt,
    row per built matrix) into the next slot (4 n doubles) of bands, and
    eliminates as solver._solve_py, writing the multipliers c and the pivots
    piv: row by row, each row built, its rhs formed and eliminated in one
-   pass.  The other steps sweep on c and piv.  Then it writes max|A x - rhs|,
-   max|rhs| and max|x| (zeros without audit) into norms[3k..3k+2] and stores
-   x, rows 0 and n - 1 pinned to the boundary values, as row k + 1.  Returns
+   pass.  The other steps sweep on c and piv.  The back sweep takes
+   max|A x - rhs|, max|rhs| and max|x| (zeros without audit) for
+   norms[3k..3k+2] as it goes, and checks that x is finite; x, rows 0 and
+   n - 1 pinned to the boundary values, is stored as row k + 1.  Returns
    -1, the first step whose x is not finite, or -2 - (k n + row) for the
    first pivot of magnitude below PIVOT_FLOOR (a NaN pivot is not below it),
    at row of step k, after building the rest of its matrix. */
@@ -85,7 +96,7 @@ long thomas_advance(long steps, long n, long audit, double mu, double dt,
     for (long k = 0, at = 0, built = 0; k < steps; k++) {
         const double *prev = u + k * n, *fk = f + k * (n - 2);
         double *x = u + (k + 1) * n;
-        double res = 0.0, rhs_max = 0.0, x_max = 0.0, ci = 0.0, xi = 0.0;
+        double m[3] = {0.0, 0.0, 0.0}, ci = 0.0, xi = 0.0; /* m: the norms */
         int fresh = k == 0 || is_new[k];
         if (fresh) {
             at = built * (n - 2);
@@ -116,19 +127,25 @@ long thomas_advance(long steps, long n, long audit, double mu, double dt,
             }
             x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
         }
-        for (long i = n - 2; i >= 0; i--)
-            x[i] = xi = x[i] - c[i] * xi;
-        for (long i = 0; i < n; i++)
-            if (!isfinite(x[i]))
-                return k;
-        for (long i = 0; audit && i < n; i++) {
-            res = max_abs(res, apply_row(n, i, sub, diag, sup, x) - rhs[i]);
-            rhs_max = max_abs(rhs_max, rhs[i]);
-            x_max = max_abs(x_max, x[i]);
+        /* the back sweep; once x[i - 1] is known, row i is final, and its
+           norms are taken (max_abs does not depend on the order of the rows) */
+        int finite = isfinite(xi);
+        if (audit) {
+            for (long i = n - 1; i > 0; i--) {
+                x[i - 1] = xi = x[i - 1] - c[i - 1] * xi;
+                finite &= isfinite(xi);
+                take_norms(n, i, sub, diag, sup, x, rhs, m);
+            }
+            take_norms(n, 0, sub, diag, sup, x, rhs, m);
+        } else {
+            for (long i = n - 2; i >= 0; i--) {
+                x[i] = xi = x[i] - c[i] * xi;
+                finite &= isfinite(xi);
+            }
         }
-        norms[3 * k] = res;
-        norms[3 * k + 1] = rhs_max;
-        norms[3 * k + 2] = x_max;
+        if (!finite)
+            return k;
+        memcpy(norms + 3 * k, m, sizeof m);
         x[0] = rhs[0];
         x[n - 1] = rhs[n - 1];
     }
@@ -142,73 +159,169 @@ static const unsigned long long POW5[28] = { /* every 5^k below 2^64 */
     11920928955078125, 59604644775390625, 298023223876953125, 1490116119384765625,
     7450580596923828125};
 
+static const double POW10_UP[34] = { /* the least double >= 10^j, j = -16..17 */
+    1.0000000000000001e-16, 1e-15, 1.0000000000000002e-14, 1e-13, 1.0000000000000002e-12,
+    1.0000000000000001e-11, 1e-10, 1e-09, 1e-08, 1.0000000000000001e-07,
+    1.0000000000000002e-06, 1e-05, 1e-04, 1e-03, 1e-02, 1e-01, 1e0, 1e1, 1e2, 1e3, 1e4,
+    1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17};
+
+#define D1(s) s "0" s "1" s "2" s "3" s "4" s "5" s "6" s "7" s "8" s "9"
+#define D2(s) D1(s "0") D1(s "1") D1(s "2") D1(s "3") D1(s "4") D1(s "5") D1(s "6") \
+    D1(s "7") D1(s "8") D1(s "9")
+#define D3(s) D2(s "0") D2(s "1") D2(s "2") D2(s "3") D2(s "4") D2(s "5") D2(s "6") \
+    D2(s "7") D2(s "8") D2(s "9")
+static const char DIGITS4[] = /* "0000" to "9999" */
+    D3("0") D3("1") D3("2") D3("3") D3("4") D3("5") D3("6") D3("7") D3("8") D3("9");
+
+/* The digits of g < 10^4 and h < 10^4 (DIGITS4), g's first digit in the
+   lowest byte. */
+static inline unsigned long long digits8(unsigned g, unsigned h)
+{
+    unsigned w[2];
+    memcpy(w, DIGITS4 + 4 * g, 4);
+    memcpy(w + 1, DIGITS4 + 4 * h, 4);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w[0] = __builtin_bswap32(w[0]), w[1] = __builtin_bswap32(w[1]);
+#endif
+    return w[0] | (unsigned long long)w[1] << 32;
+}
+
+/* The 8 bytes of w, its lowest byte first in memory. */
+static inline void store8(char *p, unsigned long long w)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, 8);
+}
+
 /* v as Python's '%.17g' % v writes it, into out; returns its length, or -1
    unless v is zero, not finite or 1e-16 < |v| < 1e17 (the double 1e-16 is
    below 10^-16).  With |v| = m 2^(e-52) and decimal exponent x, the 17
    digits D = m 5^s 2^(e-52+s), s = 16 - x, are rounded half to even from
-   the exact 128-bit product, so they are the correctly rounded ones. */
-static long format_g17(double v, char *out)
+   the exact product m 5^s, normalised so that its top 64 bits hold D
+   shifted left by 6 to 10 bits, so they are the correctly rounded ones.
+   Writes up to 40 bytes past out. */
+static inline long format_g17(double v, char *out)
 {
-    const char *word = isnan(v) ? "nan" : isinf(v) ? "inf" : v == 0.0 ? "0" : NULL;
-    char *p = out + (signbit(v) && !isnan(v)), buf[21] = "0000", *dig = buf + 4;
-    unsigned long long bits;
-    unsigned __int128 q;
-    *out = '-'; /* kept only when p is past it */
-    if (word)
-        return memcpy(p, word, strlen(word)), p - out + (long)strlen(word);
-    if (!(fabs(v) > 1e-16 && fabs(v) < 1e17))
-        return -1;
+    unsigned long long bits, least, limit, up;
     memcpy(&bits, &v, sizeof bits);
-    int e = (int)(bits >> 52 & 0x7ff) - 1023, x = e * 1233 >> 12; /* floor(e log10 2) */
-    for (x = x < -16 ? -16 : x;; x++) { /* x is the decimal exponent or one below */
-        int s = 16 - x, k = e - 52 + s;
-        q = (unsigned __int128)((bits & 0xfffffffffffffULL) | 1ULL << 52)
-            * POW5[s < 27 ? s : 27] * (s > 27 ? POW5[s - 27] : 1);
-        unsigned __int128 half = k < 0 ? (unsigned __int128)1 << (-k - 1) : 0,
-                          rem = k < 0 ? q & (2 * half - 1) : 0;
-        q = k < 0 ? q >> -k : q << k;
-        q += rem > half || (half && rem == half && (q & 1));
-        if (q < 100000000000000000ULL)
-            break;
+    memcpy(&least, &POW10_UP[0], sizeof least);
+    memcpy(&limit, &POW10_UP[33], sizeof limit);
+    unsigned long long a = bits & ~(1ULL << 63); /* |v|, ordered as its value */
+    char *p = out + (bits != a);
+    *out = '-'; /* kept only when p is past it */
+    if (a - least >= limit - least) { /* not 10^-16 <= |v| < 10^17 */
+        const char *word = isnan(v) ? "nan" : isinf(v) ? "inf" : a == 0 ? "0" : NULL;
+        if (!word)
+            return -1;
+        if (isnan(v)) /* unsigned */
+            p = out;
+        memcpy(p, word, strlen(word));
+        return p + strlen(word) - out;
     }
-    unsigned hi = (unsigned)(q / 100000000), lo = (unsigned)(q % 100000000);
-    for (int i = 16; i > 8; i--, hi /= 10, lo /= 10) /* two independent chains */
-        dig[i] = (char)('0' + lo % 10), dig[i - 8] = (char)('0' + hi % 10);
-    dig[0] = (char)('0' + hi);
-    int nd = 17;
-    while (dig[nd - 1] == '0')
-        nd--;
-    int shift = x >= -4 && x < 0 ? -x : 0;
-    dig -= shift, nd += shift, x += shift; /* 0.000ddd is 000ddd at x = 0 */
-    int whole = x >= 0 && x <= 16 ? x + 1 : 1, frac = nd > whole ? nd - whole : 0;
-    memcpy(p, dig, whole); /* dig[nd:] are zeros */
-    p[whole] = '.';        /* kept only when digits follow it */
-    memcpy(p + whole + 1, dig + whole, frac);
-    p += whole + (frac > 0) + frac;
-    if (x < -4 || x > 16) { /* e-XX */
-        *p++ = 'e';
-        *p++ = x < 0 ? '-' : '+';
-        *p++ = (char)('0' + (x < 0 ? -x : x) / 10);
-        *p++ = (char)('0' + (x < 0 ? -x : x) % 10);
+    int e = (int)(a >> 52) - 1023, x = e * 1233 >> 12; /* floor(e log10 2) */
+    memcpy(&up, &POW10_UP[x + 17], sizeof up);
+    x += a >= up; /* floor(log10 |v|) */
+    int s = 16 - x, sh;
+    unsigned long long m = (a & 0xfffffffffffffULL) | 1ULL << 52, q, sticky;
+    if (s < 28) { /* 5^s is one word: both factors normalised to 2^63 or more */
+        int z = __builtin_clzll(POW5[s]);
+        unsigned __int128 prod = (unsigned __int128)(m << 11) * (POW5[s] << z);
+        q = (unsigned long long)(prod >> 64), sticky = (unsigned long long)prod != 0;
+        sh = z - e - s - 1;
+    } else {
+        unsigned __int128 prod = (unsigned __int128)m * POW5[27] * POW5[s - 27];
+        int z = __builtin_clzll((unsigned long long)(prod >> 64));
+        prod <<= z;
+        q = (unsigned long long)(prod >> 64), sticky = (unsigned long long)prod != 0;
+        sh = z - e - s - 12;
     }
-    return p - out;
+    unsigned long long rem = q & ((1ULL << sh) - 1), half = 1ULL << (sh - 1),
+                       zeros = 0x3030303030303030ULL;
+    q >>= sh;
+    q += rem + ((q & 1) | sticky) > half; /* half to even */
+    if (q == 100000000000000000ULL) /* rounded up to 10^17 */
+        q = 10000000000000000ULL, x++;
+    /* D is d, then the four-digit groups of high and low */
+    unsigned upper = (unsigned)(q / 100000000), low = (unsigned)(q % 100000000),
+             d = upper / 100000000, high = upper % 100000000;
+    unsigned long long head = digits8(high / 10000, high % 10000),
+                       tail = digits8(low / 10000, low % 10000);
+    int nd = tail != zeros ? 17 - (__builtin_clzll(tail - zeros) >> 3)
+             : head != zeros ? 9 - (__builtin_clzll(head - zeros) >> 3) : 1;
+    if (x >= -4 && x < 0) { /* 0.000ddd */
+        memcpy(p, "0.000000", 8);
+        p += 1 - x;
+        *p = (char)('0' + d);
+        store8(p + 1, head);
+        store8(p + 9, tail);
+        return p + nd - out;
+    }
+    *p = (char)('0' + d);
+    store8(p + 1, head);
+    store8(p + 9, tail);
+    if (x >= 0 && x <= 16) { /* ddd.ddd: the digits after the point move right by one */
+        memmove(p + x + 2, p + x + 1, 16);
+        p[x + 1] = '.';
+        return p + (nd > x + 1 ? nd + 1 : x + 1) - out;
+    }
+    memmove(p + 2, p + 1, 16); /* d.ddde-XX */
+    p[1] = '.';
+    p += nd > 1 ? nd + 1 : 1;
+    memcpy(p, x < 0 ? "e-" : "e+", 2);
+    p[2] = (char)('0' + (x < 0 ? -x : x) / 10);
+    p[3] = (char)('0' + (x < 0 ? -x : x) % 10);
+    return p + 4 - out;
 }
 
-/* For each node i < n: lead, its piece xs[off[i]:off[i + 1]], u[i] as format_g17 writes
-   it and '\n', into out.  Returns the byte count, or -1 if format_g17 refuses a u[i]. */
-long format_level(long n, const char *lead, long lead_len, const char *xs,
-                  const long *off, const double *u, char *out)
+/* dst[0:len] = src[0:len] as one 32-byte copy when len <= 32 (src must have
+   32 readable bytes and dst 32 writable ones); returns dst + len. */
+static inline char *put(char *dst, const char *src, long len)
 {
-    char *p = out;
+    if (len <= 32)
+        memcpy(dst, src, 32);
+    else
+        memcpy(dst, src, len);
+    return dst + len;
+}
+
+/* The text of one level into out: head, then for each node i < n lead, the
+   piece xs[off[i]:off[i+1]], u[i] as format_g17 writes it and '\n'.
+   Returns its bytes, or -1 if format_g17 refuses a u[i]. */
+static long format_level(long n, const char *head, long head_len, const char *lead,
+                         long lead_len, const char *xs, const long *off, const double *u,
+                         char *out)
+{
+    char *p = put(out, head, head_len);
     for (long i = 0; i < n; i++) {
-        memcpy(p, lead, lead_len);
-        memcpy(p + lead_len, xs + off[i], off[i + 1] - off[i]);
-        p += lead_len + off[i + 1] - off[i];
+        p = put(put(p, lead, lead_len), xs + off[i], off[i + 1] - off[i]);
         long len = format_g17(u[i], p);
         if (len < 0)
             return -1;
         p[len] = '\n';
         p += len + 1;
     }
+    return p - out;
+}
+
+/* `levels` rows of n values u as text into out.  Level l has the head
+   text[at[2l]:at[2l+1]] and the lead text[at[2l+1]:at[2l+2]] (format_level).
+   Stops before the first level with a value that format_g17 refuses; *done
+   is the number of levels written, and the return value their bytes.  text
+   and xs need 32 readable bytes past their last piece, and out 64 writable
+   bytes past the text. */
+long format_levels(long levels, long n, const char *text, const long *at, const char *xs,
+                   const long *off, const double *u, char *out, long *done)
+{
+    char *p = out;
+    long l = 0;
+    for (long len; l < levels; l++, p += len) {
+        len = format_level(n, text + at[2 * l], at[2 * l + 1] - at[2 * l], text + at[2 * l + 1],
+                           at[2 * l + 2] - at[2 * l + 1], xs, off, u + l * n, p);
+        if (len < 0)
+            break;
+    }
+    *done = l;
     return p - out;
 }

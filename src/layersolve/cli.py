@@ -16,7 +16,7 @@ library's own checks, which raise InvalidInput.
 
 Outputs are written atomically (temp file + rename), so no reader observes
 a partial file, and a failed write removes its temp file.  The solution CSV
-and the plot data are streamed one time level at a time.  The mu values of a
+and the plot data are streamed in blocks of time levels.  The mu values of a
 sweep run one after another.  All numeric flags accept scientific notation.
 Exit codes: 0 success, 2 configuration error (InvalidInput, including every
 parse failure), 1 computation or output error; errors print one
@@ -59,23 +59,25 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-# The writers below yield the bytes of one time level at a time: x and t are
-# formatted here, u by the kernel's format_level, in C or, without it or out of
-# its range, as '%.17g' % v, the same text as f"{v:.17g}" for every double.
+# The writers below yield the text in blocks of time levels: x and t are
+# formatted here, u by the kernel's format_levels, in C or, without it or for a
+# level out of its range, as '%.17g' % v, the same text as f"{v:.17g}" for
+# every double.
 
 def _solution_csv(sol) -> Iterator[bytes]:
     yield b"t,x,u\n"
-    xs = tuple(f"{x:.17g},".encode() for x in sol.mesh.points)
-    for t, row in zip(sol.grid.times, sol.values):
-        yield solver._KERNEL.format_level(f"{t:.17g},".encode(), xs, row)
+    leads = [f"{t:.17g},".encode() for t in sol.grid.times]
+    yield from solver._KERNEL.format_levels([b""] * len(leads), leads,
+                                            [f"{x:.17g},".encode() for x in sol.mesh.points],
+                                            sol.values)
 
 
 def _plot_data(sol) -> Iterator[bytes]:
-    xs = tuple(f"{x:.17g} ".encode() for x in sol.mesh.points)
-    sep = ""
-    for t, row in zip(sol.grid.times, sol.values):
-        yield f"{sep}# t={t:.17g}\n".encode() + solver._KERNEL.format_level(b"", xs, row)
-        sep = "\n"
+    heads = [f"\n# t={t:.17g}\n".encode() for t in sol.grid.times]
+    heads[0] = heads[0][1:]
+    yield from solver._KERNEL.format_levels(heads, [b""] * len(heads),
+                                            [f"{x:.17g} ".encode() for x in sol.mesh.points],
+                                            sol.values)
 
 
 def _mesh_dump(mesh) -> str:

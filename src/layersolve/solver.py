@@ -166,28 +166,44 @@ def _format_py(lead: bytes, xs, row) -> bytes:
     return b"".join(lead + x + b"%.17g\n" for x in xs) % tuple(np.asarray(row, float).tolist())
 
 
+def _format_levels_py(heads, leads, xs, rows):
+    """For each level l: heads[l], then :func:`_format_py` of leads[l], xs and rows[l]."""
+    for head, lead, row in zip(heads, leads, rows):
+        yield head + _format_py(lead, xs, row)
+
+
 class _Kernel(NamedTuple):
     """``advance`` (:func:`_advance_py`), raising ZeroPivot, and
-    ``format_level`` (:func:`_format_py`)."""
+    ``format_levels`` (:func:`_format_levels_py`), which yields the text in
+    blocks of levels."""
 
     name: str
     advance: Callable
-    format_level: Callable
+    format_levels: Callable
 
 
-_PYTHON_KERNEL = _Kernel("python", _advance_py, _format_py)
+_PYTHON_KERNEL = _Kernel("python", _advance_py, _format_levels_py)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_thomas.c")
 # -ffp-contract=off: a - b*c must not become a fused multiply-add, or the
 # compiled kernel stops being bitwise equal to the Python loops
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_BLOCK_BYTES = 256 * 1024  # text per compiled format_levels call, or one level
+_EMPTY = ctypes.c_char * 0
+
+
+def _address(x: np.ndarray):
+    """x's data for a ctypes pointer argument: a view of its buffer when it is
+    writable, 3 times cheaper than ``x.ctypes.data``."""
+    return _EMPTY.from_buffer(x) if x.flags.writeable else x.ctypes.data
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
-    """Wrap ``thomas_advance`` and ``format_level``."""
-    c_advance, c_format = lib.thomas_advance, lib.format_level
+    """Wrap ``thomas_advance`` and ``format_levels``."""
+    c_advance, c_format = lib.thomas_advance, lib.format_levels
     c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13
-    c_format.argtypes = [ctypes.c_long, ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 3
+    c_format.argtypes = [ctypes.c_long] * 2 + [ctypes.c_char_p, ctypes.c_void_p] * 2 \
+        + [ctypes.c_void_p] * 3
     c_advance.restype = c_format.restype = ctypes.c_long
 
     def advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
@@ -202,31 +218,46 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
                 x.dtype == float and x.flags.c_contiguous and x.flags.writeable
                 for x in (u, bands, norms)):
             raise ValueError(f"advance got shapes {shapes} or a read-only output")
-        arrays = [*ins[:4], is_new, *ins[4:], u, bands, norms, *np.empty((3, n))]
-        bad = c_advance(steps, n, bool(audit), mu, dt, *[x.ctypes.data for x in arrays])
+        scratch = _EMPTY.from_buffer(np.empty(3 * n))  # rhs, c and piv; holds the array
+        at = ctypes.addressof(scratch)
+        bad = c_advance(steps, n, bool(audit), mu, dt,
+                        *map(_address, (*ins[:4], is_new, *ins[4:], u, bands, norms)),
+                        at, at + 8 * n, at + 16 * n)
         if bad < -1:
             raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
         return bad
 
-    # (x pieces, joined text, offsets) of the last call; holding the pieces
-    # keeps another tuple from taking their id
-    last = [(None,)]
+    def format_levels(heads, leads, xs, rows):
+        rows, n = np.ascontiguousarray(rows, dtype=float), len(xs)
+        if rows.shape != (len(heads), n) or len(leads) != len(heads):
+            raise ValueError(f"format_levels got {rows.shape} values for {len(heads)} "
+                             f"heads, {len(leads)} leads and {n} nodes")
+        texts = [t for pair in zip(heads, leads) for t in pair]
+        at = np.cumsum([0, *map(len, texts)], dtype=ctypes.c_long)
+        off = np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
+        # C copies a piece of up to 32 bytes as 32 bytes
+        text, pieces = b"".join(texts) + bytes(32), b"".join(xs) + bytes(32)
+        # a level is at most the longest head and, per node, the longest lead,
+        # its piece and 24 bytes
+        most = max(map(len, heads), default=0) + n * (max(map(len, leads), default=0) + 24) \
+            + int(off[-1])
+        per = max(1, _BLOCK_BYTES // most)  # levels per call
+        out, done = np.empty(per * most + 64, np.uint8), np.zeros(1, ctypes.c_long)
+        at_ptr, off_ptr, u_ptr, out_ptr, done_ptr = (x.ctypes.data
+                                                     for x in (at, off, rows, out, done))
+        l0 = 0
+        while l0 < len(rows):
+            count = min(per, len(rows) - l0)
+            size = c_format(count, n, text, at_ptr + 16 * l0, pieces, off_ptr,
+                            u_ptr + 8 * n * l0, out_ptr, done_ptr)
+            if size:
+                yield out[:size].tobytes()
+            l0 += int(done[0])
+            if done[0] < count:  # a value out of the compiled range: this level in Python
+                yield heads[l0] + _format_py(leads[l0], xs, rows[l0])
+                l0 += 1
 
-    def format_level(lead, xs, row):
-        entry = last[0]
-        if entry[0] is not (xs := tuple(xs)):
-            entry = last[0] = xs, b"".join(xs), np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
-        _, text, off = entry
-        row = np.ascontiguousarray(row, dtype=float)
-        if row.shape != (len(xs),):
-            raise ValueError(f"format_level got {row.shape} values for {len(xs)} nodes")
-        # 24 bytes hold any '%.17g' of a double; a fresh buffer, since ctypes drops the GIL
-        out = np.empty(len(text) + len(row) * (len(lead) + 25), np.uint8)
-        size = c_format(len(row), lead, len(lead), text,
-                        *[a.ctypes.data for a in (off, row, out)])
-        return out[:size].tobytes() if size >= 0 else _format_py(lead, xs, row)
-
-    return _Kernel("c", advance, format_level)
+    return _Kernel("c", advance, format_levels)
 
 
 def _load_kernel(directory: str) -> _Kernel:

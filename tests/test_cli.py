@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layersolve import (CheckPolicy, UnknownExample, cli, derive_regime, march,
+from layersolve import (CheckPolicy, DiscreteSolution, UnknownExample, cli, derive_regime, march,
                         parse_report_csv, solver, spatial_mesh_for, uniform_time_grid)
 from layersolve.cli import _atomic_write, main
 from layersolve.registry import lookup
@@ -292,6 +292,47 @@ class TestOutputBytes:
         argv = ["solve", *self.ARGS, "--M", "16", "--out", str(tmp_path / "s.csv")]
         assert run_cli(argv, capsys)[0] == 0
         assert calls == []
+
+
+def level_texts(sol, plot):
+    """Each level's text as the writer that ``plot`` selects writes it."""
+    for j, (t, row) in enumerate(zip(sol.grid.times, sol.values)):
+        if plot:
+            head = ("\n" if j else "") + f"# t={t:.17g}\n"
+            yield (head + "".join(f"{x:.17g} {u:.17g}\n"
+                                  for x, u in zip(sol.mesh.points, row))).encode()
+        else:
+            yield "".join(f"{t:.17g},{x:.17g},{u:.17g}\n"
+                          for x, u in zip(sol.mesh.points, row)).encode()
+
+
+@pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
+@pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot-data"])
+def test_out_of_range_level_goes_to_python_alone(monkeypatch, plot):
+    """Ten levels (M = 9) in blocks of three; level 4 holds 1e-300, out of
+    the compiled formatter's range, so the block of levels 3-5 stops before
+    it, level 4 alone goes to _format_py, and the blocks after it are levels
+    5-7 and 8-9.  Each chunk is whole levels, and the text is the per-level
+    text."""
+    spec = lookup("example1", 1e-5, 1e-4)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, 16, spec.d)
+    values = np.random.default_rng(2).uniform(-1.0, 1.0, (10, 17))
+    values[4, 3] = 1e-300
+    sol = DiscreteSolution(mesh=mesh, grid=uniform_time_grid(1.0, 9), values=values)
+    # a level's bound: the longest head and, per node, the longest lead, its
+    # x piece and 24 bytes
+    heads = [len(f"\n# t={t:.17g}\n") - (j == 0) if plot else 0
+             for j, t in enumerate(sol.grid.times)]
+    leads = [0 if plot else len(f"{t:.17g},") for t in sol.grid.times]
+    most = max(heads) + 17 * (max(leads) + 24) + sum(len(f"{x:.17g},") for x in mesh.points)
+    calls, format_py = [], solver._format_py
+    monkeypatch.setattr(solver, "_format_py", lambda *a: calls.append(a[2]) or format_py(*a))
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 4 * most - 1)
+    chunks = list((cli._plot_data if plot else cli._solution_csv)(sol))
+    texts = list(level_texts(sol, plot))
+    expected = [b"".join(texts[j:k]) for j, k in ((0, 3), (3, 4), (4, 5), (5, 8), (8, 10))]
+    assert chunks[plot ^ 1:] == expected
+    assert [row.tobytes() for row in calls] == [values[4].tobytes()]
 
 
 class TestDumpMesh:

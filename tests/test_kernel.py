@@ -3,9 +3,13 @@ the loader that builds it on first import."""
 
 import ctypes
 import dataclasses
+import math
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -400,38 +404,174 @@ def powers_of_ten():
         yield from (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))
 
 
+def format_level(kernel, lead, xs, row):
+    """The text of one level through ``kernel.format_levels``."""
+    return b"".join(kernel.format_levels([b""], [lead], xs, [row]))
+
+
+def decimal_ties():
+    """For each decimal exponent x = -16..16 of '%.17g': the two doubles
+    around a point halfway between two 17-digit decimals and, where one
+    exists, two doubles exactly halfway, one rounding up and one down.  An
+    exact tie is N 10^(x-17) for an odd 18-digit N that 5^(17-x) divides with
+    a quotient below 2^53, which exists for x = -8..15 only."""
+    for x in range(-16, 17):
+        mid = (Fraction(12345678901234567) + Fraction(1, 2)) * Fraction(10) ** (x - 16)
+        near = float(mid)
+        yield from (near, math.nextafter(near, -math.inf if near > mid else math.inf))
+        if -8 <= x <= 15:
+            five = 5 ** (17 - x)
+            odd = -(-10 ** 17 // five) | 1
+            for m in (odd, odd + 2):
+                assert m < 2 ** 53 and m * five < 10 ** 18
+                tie = float(Fraction(m * five) * Fraction(10) ** (x - 17))
+                assert Fraction(tie) == Fraction(m * five) * Fraction(10) ** (x - 17)
+                yield tie
+
+
+def notation_switches():
+    """The doubles on either side of each power of ten in the compiled range,
+    where '%.17g' may change notation (at 10^-4) or digit count, or round up
+    to the power (the double below 10^-14)."""
+    for k in range(-15, 17):
+        v = float(f"1e{k}")
+        yield from (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
+    yield from (math.nextafter(1e-16, 1.0), math.nextafter(1e17, 0.0))
+
+
+FORMAT_CASES = {
+    "ties-signs": [123456789012345.125, 123456789012345.375, -0.0, -np.nan],
+    "powers-of-ten": list(powers_of_ten()),
+    "notation-switches": [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e17, 0.0), 1e17],
+}
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
 class TestFormatLevel:
-    """format_level writes lead, piece and u as '%.17g' does, byte for byte."""
+    """format_levels writes lead, piece and u as '%.17g' does, byte for byte."""
 
     @settings(max_examples=1000, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_every_float(self, kernel, v):
-        assert kernel.format_level(b"", [b""], [v]) == ("%.17g\n" % v).encode()
+        assert format_level(kernel, b"", [b""], [v]) == ("%.17g\n" % v).encode()
 
-    @pytest.mark.parametrize("values", [
-        [123456789012345.125, 123456789012345.375, -0.0, -np.nan],
-        list(powers_of_ten()),
-        [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e17, 0.0), 1e17],
-    ], ids=["ties-signs", "powers-of-ten", "notation-switches"])
+    @pytest.mark.parametrize("values", FORMAT_CASES.values(), ids=FORMAT_CASES.keys())
     def test_cases(self, kernel, values):
         xs = [f"{i} ".encode() for i in range(len(values))]
         expected = "".join(f"t,{i} " + "%.17g\n" % v for i, v in enumerate(values))
-        assert kernel.format_level(b"t,", xs, values) == expected.encode()
+        assert format_level(kernel, b"t,", xs, values) == expected.encode()
 
     def test_ties_round_to_even(self, kernel):
-        assert kernel.format_level(b"", [b"", b""], [123456789012345.125, 123456789012345.375]
-                                   ) == b"123456789012345.12\n123456789012345.38\n"
+        assert format_level(kernel, b"", [b"", b""], [123456789012345.125, 123456789012345.375]
+                            ) == b"123456789012345.12\n123456789012345.38\n"
 
     def test_row_out_of_range_falls_back_whole(self, kernel, monkeypatch):
         """1e-300 and 1e20 are outside the compiled formatter's exact range:
-        the C kernel hands the whole level to the Python formatter."""
+        the level goes to the Python formatter whole, once, under either
+        kernel."""
         calls, format_py = [], solver._format_py
         monkeypatch.setattr(solver, "_format_py", lambda *a: calls.append(a) or format_py(*a))
         values = [0.5, 1e-300, -2.75, 1e20]
-        text = kernel.format_level(b"", [b"x,"] * 4, np.array(values))
+        text = format_level(kernel, b"", [b"x,"] * 4, np.array(values))
         assert text == "".join("x,%.17g\n" % v for v in values).encode()
-        assert len(calls) == (kernel.name == "c")
+        assert len(calls) == 1
+
+
+def compiled_level_text(values):
+    """One level of ``values`` through the compiled kernel, with the Python
+    formatter refusing every call, and the same level as '%.17g' writes it."""
+    xs = [f"{i},".encode() for i in range(len(values))]
+    expected = "".join(f"0.5,{i}," + "%.17g\n" % v for i, v in enumerate(values)).encode()
+
+    def refuse(*args):
+        raise AssertionError("a level went to the Python formatter")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_format_py", refuse)
+        return format_level(solver._KERNEL, b"0.5,", xs, values), expected
+
+
+IN_RANGE = st.builds(lambda sign, digits, x: sign * float(f"{digits}e{x}"),
+                     st.sampled_from([1.0, -1.0]), st.integers(1, 10 ** 17 - 1),
+                     st.integers(-32, 0)).filter(lambda v: 1e-16 < abs(v) < 1e17)
+
+
+@pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
+class TestCompiledRange:
+    """The compiled kernel formats every value of 1e-16 < |v| < 1e17 itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(IN_RANGE | st.floats(-1e17, 1e17, exclude_min=True, exclude_max=True)
+                    .filter(lambda v: abs(v) > 1e-16 or v == 0.0), min_size=1, max_size=300))
+    def test_levels_of_mixed_signs_and_exponents(self, values):
+        got, expected = compiled_level_text(values)
+        assert got == expected
+
+    def test_ties_and_notation_switches_in_one_level(self):
+        values = [*decimal_ties(), *notation_switches()]
+        got, expected = compiled_level_text(values + [-v for v in values])
+        assert got == expected
+
+    def test_texts_longer_than_one_fixed_copy(self):
+        """Heads, leads and pieces over 32 bytes are copied at their length."""
+        heads, leads, xs = [b"#" * 40 + b"\n", b""], [b"L" * 33, b"t,"], [b"x" * 35, b"y,"]
+        rows = [[0.5, -0.25], [1.5, 2e-5]]
+        expected = b"".join(head + b"".join(lead + x + b"%.17g\n" % v for x, v in zip(xs, row))
+                            for head, lead, row in zip(heads, leads, rows))
+        assert b"".join(solver._KERNEL.format_levels(heads, leads, xs, rows)) == expected
+
+
+SANITIZED_RUN = """
+import ctypes, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+import pytest
+import test_kernel as t
+from layersolve import solver
+try:
+    kernel = solver._c_kernel(ctypes.CDLL(sys.argv[3]))
+except OSError:
+    sys.exit(77)
+cases = t.TestFormatLevel()
+cases.test_every_float(kernel)
+for values in t.FORMAT_CASES.values():
+    cases.test_cases(kernel, values)
+cases.test_ties_round_to_even(kernel)
+with pytest.MonkeyPatch.context() as patch:
+    cases.test_row_out_of_range_falls_back_whole(kernel, patch)
+    patch.setattr(solver, "_KERNEL", kernel)
+    t.TestCompiledRange().test_ties_and_notation_switches_in_one_level()
+    t.TestCompiledRange().test_levels_of_mixed_signs_and_exponents()
+rng = np.random.default_rng(5)
+args = t.random_advance(rng, 1025, 6)
+start = rng.uniform(-1.0, 1.0, 1025)
+runs = [t.run_advance(k, *args, start) for k in (kernel, solver._PYTHON_KERNEL)]
+assert len({(bad, norms.tobytes(), u.tobytes(), bands.tobytes())
+            for bad, norms, u, bands in runs}) == 1
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
+def test_undefined_behaviour_sanitizer(tmp_path):
+    """The formatter's shifts and the kernel's loops under
+    -fsanitize=undefined, which aborts on the first undefined operation (a
+    shift by the width of its type or more, a signed overflow, an
+    out-of-bounds index into a table), for a bug that -O2 output would hide:
+    the TestFormatLevel cases, the compiled-range levels and one ``advance``
+    parity case, in a child process."""
+    lib = tmp_path / "ubsan.so"
+    build = subprocess.run(["cc", *solver._CFLAGS, "-fsanitize=undefined",
+                            "-fno-sanitize-recover=all", "-o", str(lib), solver._SOURCE],
+                           capture_output=True)
+    if build.returncode:
+        pytest.skip("cc cannot build with -fsanitize=undefined")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    run = subprocess.run([sys.executable, "-c", SANITIZED_RUN,
+                          os.path.join(os.path.dirname(tests), "src"), tests, str(lib)],
+                         capture_output=True, text=True, cwd=tmp_path)
+    if run.returncode == 77:
+        pytest.skip("the sanitized library does not load")
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 class TestLoader:
