@@ -11,7 +11,7 @@ from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
                        double_mesh_error, parse_report_csv, render_report_csv,
                        render_text_table, temporal_order_study)
 from .discretization import (MMatrixReport, TridiagonalSystem, assemble,
-                             discontinuity_row, m_matrix_check)
+                             m_matrix_check)
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      InvalidInput, LayerSolveError, LayersOverlap,
                      ManufacturedMismatch, MeshMismatch, MMatrixViolation,

@@ -41,7 +41,6 @@ from .problem import PiecewiseField, ProblemSpec, _evaluate
 __all__ = [
     "TridiagonalSystem",
     "MMatrixReport",
-    "discontinuity_row",
     "sample_coefficients",
     "stencil_weights",
     "step_rhs",
@@ -84,19 +83,6 @@ class TridiagonalSystem:
         return self.diag.shape[0]
 
 
-def discontinuity_row(mesh: SpatialMesh) -> tuple[float, float, float]:
-    """Transmission row at i = N/2: D+ U = D- U, independent of t and u_prev.
-
-    Returns the weights (w_minus, w_center, w_plus) of (U_{i-1}, U_i,
-    U_{i+1}) in the stored (positive-diagonal) convention; the row's right
-    side is always 0.  Any globally linear profile satisfies it exactly.
-    """
-    mid = mesh.n // 2
-    hm = float(mesh.h[mid])
-    hp = float(mesh.h[mid + 1])
-    return -1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp
-
-
 def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t, out=None) -> np.ndarray:
     """a or f, as :func:`sample_coefficients` samples them; ``out`` is ``last``'s array."""
     mid, x = mesh.n // 2 - 1, mesh.points[1:-1]
@@ -134,15 +120,17 @@ def stencil_weights(spec: ProblemSpec, mesh: SpatialMesh) -> np.ndarray:
     """The t-independent part of every step matrix, a (4, N+1) array by row:
     on PDE row i the weights 2eps/(h_i*(h_i+h_{i+1})), -2eps/(h_i*h_{i+1})
     and 2eps/(h_{i+1}*(h_i+h_{i+1})) of eps*d2 and the upwind spacing (h_i
-    below N/2, h_{i+1} from N/2 on); on rows 0, N/2 and N the stored (sub,
-    diag, sup) of the identity rows and :func:`discontinuity_row`."""
+    below N/2, h_{i+1} from N/2 on); on rows 0 and N the identity rows, and
+    on row N/2 the transmission row D+ U = D- U, -1/h_i, 1/h_i + 1/h_{i+1}
+    and -1/h_{i+1}, which every linear profile satisfies exactly."""
     n, mid, eps = mesh.n, mesh.n // 2, spec.params.epsilon
     hi, hi1 = mesh.h[1:-1], mesh.h[2:]
     w = np.zeros((4, n + 1))
     w[:, 1:-1] = (2.0 * eps / (hi * (hi + hi1)), -2.0 * eps / (hi * hi1),
                   2.0 * eps / (hi1 * (hi + hi1)), np.where(np.arange(1, n) < mid, hi, hi1))
     w[1, [0, n]] = 1.0
-    w[:3, mid] = discontinuity_row(mesh)
+    hm, hp = mesh.h[mid], mesh.h[mid + 1]
+    w[:3, mid] = -1.0 / hm, 1.0 / hm + 1.0 / hp, -1.0 / hp
     return w
 
 

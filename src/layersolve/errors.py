@@ -30,7 +30,8 @@ class CompatibilityViolation(LayerSolveError):
 # -- mesh construction --------------------------------------------------------
 
 class UnsupportedRegime(LayerSolveError):
-    """Layer parameters requested for a regime the scheme is not validated for."""
+    """Layer parameters requested in case (ii), sqrt(alpha)*mu > sqrt(rho*eps);
+    the scheme supports case (i) only."""
 
 
 class LayersOverlap(LayerSolveError):

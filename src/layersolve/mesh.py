@@ -49,14 +49,13 @@ class ThetaVariant(enum.Enum):
     boundary-layer width.
     SECTION2: theta1 = sqrt(rho*alpha)/sqrt(eps), theta2 as above; the
     asymmetric decay rates of the a priori layer bounds.
-    CASE2_EXPERIMENTAL: theta1 = alpha*mu/eps, theta2 = rho/(2*mu); the
-    second-regime widths.  The scheme is not validated in that regime; the
-    variant exists so the regime can still be explored.
+
+    Both are case-(i) rates: case (ii), sqrt(alpha)*mu > sqrt(rho*eps), is
+    unsupported whatever the variant.
     """
 
     SECTION4 = "section4"
     SECTION2 = "section2"
-    CASE2_EXPERIMENTAL = "case2-experimental"
 
 
 @dataclass(frozen=True)
@@ -75,19 +74,15 @@ def layer_params(regime: RegimeConstants, params: PerturbationParams,
                  variant: ThetaVariant = ThetaVariant.SECTION4) -> LayerParams:
     """Layer decay rates for the selected variant.
 
-    Raises UnsupportedRegime when the regime is CASE_II and the experimental
-    variant was not explicitly requested.
+    Raises UnsupportedRegime when the regime is CASE_II, sqrt(alpha)*mu >
+    sqrt(rho*eps): the scheme supports case (i) only, and no variant
+    overrides that.
     """
-    if regime.case is RegimeCase.CASE_II and variant is not ThetaVariant.CASE2_EXPERIMENTAL:
+    if regime.case is RegimeCase.CASE_II:
         raise UnsupportedRegime(
-            "regime is case (ii) (sqrt(alpha)*mu > sqrt(rho*eps)); the scheme is "
-            "validated only for case (i).  Pass ThetaVariant.CASE2_EXPERIMENTAL "
-            "(on the command line, --theta-variant case2-experimental) to proceed "
-            "anyway.")
-    eps, mu = params.epsilon, params.mu
-    if variant is ThetaVariant.CASE2_EXPERIMENTAL:
-        return LayerParams(theta1=regime.alpha * mu / eps, theta2=regime.rho / (2.0 * mu))
-    base = math.sqrt(regime.rho * regime.alpha) / (2.0 * math.sqrt(eps))
+            "regime is case (ii) (sqrt(alpha)*mu > sqrt(rho*eps)); the scheme "
+            "supports case (i) only")
+    base = math.sqrt(regime.rho * regime.alpha) / (2.0 * math.sqrt(params.epsilon))
     if variant is ThetaVariant.SECTION2:
         return LayerParams(theta1=2.0 * base, theta2=base)
     return LayerParams(theta1=base, theta2=base)

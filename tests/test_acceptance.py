@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from layersolve import (CheckPolicy, assemble, bisect, convergence_study,
-                        derive_regime, discontinuity_row, double_mesh_difference,
+                        derive_regime, double_mesh_difference,
                         double_mesh_error, lookup,
                         m_matrix_check, manufactured_sine, march,
                         residual_max_norm,
@@ -31,6 +31,7 @@ from layersolve import (CheckPolicy, assemble, bisect, convergence_study,
                         temporal_order_study, thomas_solve,
                         transition_points, build_mesh, uniform_time_grid)
 from layersolve.analysis import orders_from_errors
+from layersolve.discretization import stencil_weights
 from layersolve.errors import LayersOverlap
 from layersolve.mesh import LayerParams
 from layersolve.problem import ProblemSpec, PiecewiseField, PerturbationParams
@@ -451,8 +452,8 @@ class TestCriterion9TrivialExactness:
         assert np.array_equal(sol.values, np.zeros_like(sol.values))
         assert double_mesh_error(sol, sol_fine) == 0.0
 
-        w_minus, w_center, w_plus = discontinuity_row(mesh)
         mid = mesh.n // 2
+        w_minus, w_center, w_plus = stencil_weights(spec, mesh)[:3, mid]
         for slope, intercept in ((3.0, -1.0), (-250.0, 40.0), (0.0, 7.0)):
             profile = slope * mesh.points + intercept
             residual = (w_minus * profile[mid - 1] + w_center * profile[mid]

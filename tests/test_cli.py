@@ -128,6 +128,7 @@ class TestConfigValidation:
         ["dump-mesh", "--N", "8"],
         ["solve", "--checks", "loose"],
         ["dump-mesh", "--theta-variant", "section3"],
+        ["solve", "--theta-variant", "case2-experimental"],
         ["temporal", "--M", "3"],
         ["temporal", "--M", "6"],
         ["converge", "--mu-list", ""],
@@ -161,15 +162,14 @@ class TestConfigValidation:
         assert err.startswith("error: LayersOverlap:")
         assert "\n" not in err.strip()
 
-    def test_case_ii_regime_names_the_cli_flag(self, capsys, tmp_path):
-        # sqrt(alpha)*mu > sqrt(rho*eps): case (ii), which needs the variant
+    def test_case_ii_regime_is_one_error_line(self, capsys, tmp_path):
+        # sqrt(alpha)*mu > sqrt(rho*eps): case (ii), which no variant supports
         out = tmp_path / "u.csv"
         code, _, err = run_cli(["solve", "--N", "16", "--M", "4", "--epsilon", "1e-8",
                                 "--mu", "1e-2", "--out", str(out)], capsys)
         assert code == 1
         assert err.startswith("error: UnsupportedRegime:") and err.count("\n") == 1
-        assert "--theta-variant case2-experimental" in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputFailures:

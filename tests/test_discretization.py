@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
                         ProblemSpec, TridiagonalSystem,
-                        assemble, discontinuity_row, lookup, m_matrix_check,
+                        assemble, lookup, m_matrix_check,
                         spatial_mesh_for, derive_regime, thomas_solve, uniform_mesh)
-from layersolve.discretization import sample_coefficients
+from layersolve.discretization import sample_coefficients, stencil_weights
 from layersolve.mesh import SpatialMesh
 from layersolve.problem import _evaluate
 
@@ -30,6 +30,13 @@ def nine_point_mesh():
     return SpatialMesh(n=8, points=np.arange(9) / 8.0,
                        tau=(0.125, 0.125, 0.125, 0.125),
                        layer=LayerParams(1.0, 1.0))
+
+
+def transmission_row(mesh):
+    """Row N/2 of :func:`stencil_weights`: the stored weights of U_{N/2-1},
+    U_{N/2} and U_{N/2+1}, which no coefficient of the problem enters."""
+    spec = lookup("example1", 1e-8, 1e-6)
+    return tuple(stencil_weights(spec, mesh)[:3, mesh.n // 2])
 
 
 def plain_spec(a_left, a_right, f_left, f_right, b, c, p, r, q,
@@ -193,7 +200,7 @@ class TestInteriorRow:
 
 class TestDiscontinuityRow:
     def test_symmetric_steps(self):
-        assert discontinuity_row(nine_point_mesh()) == (-8.0, 16.0, -8.0)
+        assert transmission_row(nine_point_mesh()) == (-8.0, 16.0, -8.0)
 
     @given(slope=st.floats(-1e3, 1e3), intercept=st.floats(-1e3, 1e3),
            theta=st.floats(500.0, 1e5))
@@ -202,7 +209,7 @@ class TestDiscontinuityRow:
         from layersolve import build_mesh, transition_points
         lay = LayerParams(theta, theta)
         mesh = build_mesh(lay, transition_points(lay, 32, 0.5), 32, 0.5)
-        w_minus, w_center, w_plus = discontinuity_row(mesh)
+        w_minus, w_center, w_plus = transmission_row(mesh)
         mid = 16
         profile = slope * mesh.points + intercept
         residual = (w_minus * profile[mid - 1] + w_center * profile[mid]
@@ -222,7 +229,7 @@ class TestDiscontinuityRow:
         h32 = 0.5 - x31
         h33 = x33 - 0.5
         assert h32 == pytest.approx(h33, rel=1e-12)
-        w_minus, w_center, _ = discontinuity_row(mesh)
+        w_minus, w_center, _ = transmission_row(mesh)
         assert w_minus == pytest.approx(-1.0 / h32, rel=1e-12)
         assert w_center == pytest.approx(2.0 / h32, rel=1e-12)
 
@@ -241,7 +248,7 @@ class TestAssemble:
             assert sys.diag[i] == pytest.approx(diag[i], rel=1e-14)
             assert sys.sup[i] == pytest.approx(sup[i], rel=1e-14)
             assert sys.rhs[i] == pytest.approx(rhs[i], rel=1e-13)
-        assert (sys.sub[32], sys.diag[32], sys.sup[32]) == discontinuity_row(mesh)
+        assert (sys.sub[32], sys.diag[32], sys.sup[32]) == transmission_row(mesh)
         assert sys.rhs[32] == 0.0
 
     def test_matches_independent_oracle(self):

@@ -69,31 +69,12 @@ class TestLayerParams:
         assert lay.theta1 == pytest.approx(10000.0, rel=1e-15)
         assert lay.theta2 == pytest.approx(5000.0, rel=1e-15)
 
-    def test_case_two_requires_experimental_variant(self):
+    def test_case_two_is_unsupported_for_every_variant(self):
         regime = RegimeConstants(rho=1.0, alpha=1.0, case=RegimeCase.CASE_II)
-        with pytest.raises(UnsupportedRegime):
-            layer_params(regime, PerturbationParams(1e-8, 1e-2))
-        lay = layer_params(regime, PerturbationParams(1e-8, 1e-2),
-                           ThetaVariant.CASE2_EXPERIMENTAL)
-        assert lay.theta1 == pytest.approx(1e-2 / 1e-8, rel=1e-15)  # alpha*mu/eps
-        assert lay.theta2 == pytest.approx(50.0, rel=1e-15)         # rho/(2 mu)
-
-    def test_case_two_experimental_end_to_end(self):
-        # the experimental widths still produce a usable mesh and the march
-        # keeps its structural guarantees (it is just not convergence-tuned)
-        from layersolve import (CheckPolicy, derive_regime, lookup, march,
-                                uniform_time_grid)
-        from layersolve.mesh import build_mesh
-        spec = lookup("example1", 1e-8, 1e-2)
-        regime = derive_regime(spec)
-        assert regime.case is RegimeCase.CASE_II
-        lay = layer_params(regime, spec.params, ThetaVariant.CASE2_EXPERIMENTAL)
-        tau = transition_points(lay, 64, 0.5)
-        mesh = build_mesh(lay, tau, 64, 0.5)
-        assert abs(mesh.points[8] - tau[0]) < 1e-10
-        sol = march(spec, mesh, uniform_time_grid(1.0, 16),
-                    CheckPolicy.strict_policy())
-        assert np.all(np.isfinite(sol.values))
+        assert [v.name for v in ThetaVariant] == ["SECTION4", "SECTION2"]
+        for variant in ThetaVariant:
+            with pytest.raises(UnsupportedRegime, match=r"case \(i\) only"):
+                layer_params(regime, PerturbationParams(1e-8, 1e-2), variant)
 
 
 class TestTransitionPoints:
