@@ -113,6 +113,12 @@ def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
     extra march on the next bisection supplies the final row's double-mesh
     error, mirroring published tables where every row has E and all but the
     last have R.  Level l+1 always uses the bisection of level l's mesh.
+
+    The levels march one after another, coarse to fine, and each streams its
+    finished time levels into a sink (see :func:`march`).  The sink folds
+    fine level 2j against the previous march's kept level j, so E is bitwise
+    :func:`double_mesh_error`, and keeps its own levels for the next march.
+    At most two marches' values are held at once, the finest never.
     """
     if levels < 2:
         raise InvalidInput(f"levels={levels}: a study needs at least 2 levels")
@@ -123,15 +129,38 @@ def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
     meshes: list[SpatialMesh] = [mesh]
     for _ in range(levels):
         meshes.append(bisect(meshes[-1]))
-    solutions = [march(spec, msh, uniform_time_grid(spec.t_final, base_m << lvl), checks)
-                 for lvl, msh in enumerate(meshes)]
+    errors: list[float] = []
+    coarse = None
+    for lvl, msh in enumerate(meshes):
+        grid = uniform_time_grid(spec.t_final, base_m << lvl)
+        kept = np.empty((grid.m + 1, msh.n + 1)) if lvl < levels else None
+        fold = _DoubleMeshFold(coarse, kept)
+        march(spec, msh, grid, checks, sink=fold)
+        if coarse is not None:
+            errors.append(float(fold.max))
+        coarse = kept
 
-    errors = [double_mesh_error(solutions[lvl], solutions[lvl + 1])
-              for lvl in range(levels)]
     records = [LevelRecord(n=base_n << lvl, m=base_m << lvl, e=errors[lvl], r=r)
                for lvl, r in enumerate(orders_from_errors(errors))]
     return ConvergenceReport(levels=tuple(records), regime=regime,
                              epsilon=spec.params.epsilon, mu=spec.params.mu)
+
+
+class _DoubleMeshFold:
+    """A march sink: copies each block of levels into ``kept`` (unless None)
+    and folds |fine[2j, 2i] - coarse[j, i]| over the block's even levels into
+    ``max``, a NaN propagating as in ``np.max``."""
+
+    def __init__(self, coarse: np.ndarray | None, kept: np.ndarray | None):
+        self.coarse, self.kept, self.max = coarse, kept, np.float64(0.0)
+
+    def __call__(self, j0: int, rows: np.ndarray) -> None:
+        if self.kept is not None:
+            self.kept[j0:j0 + len(rows)] = rows
+        fine = rows[j0 & 1::2, ::2]  # the even levels, at the coarse nodes
+        if self.coarse is not None and len(fine):
+            j = (j0 + 1) // 2
+            self.max = np.maximum(self.max, np.abs(fine - self.coarse[j:j + len(fine)]).max())
 
 
 @dataclass(frozen=True)

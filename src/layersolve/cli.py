@@ -16,7 +16,8 @@ library's own checks, which raise InvalidInput.
 
 Outputs are written atomically (temp file + rename), so no reader observes
 a partial file, and a failed write removes its temp file.  The solution CSV
-and the plot data are streamed in blocks of time levels.  The mu values of a
+and the plot data are written as the march produces each chunk of time
+levels, so no (M+1)(N+1) array is held.  The mu values of a
 sweep run one after another.  All numeric flags accept scientific notation.
 Exit codes: 0 success, 2 configuration error (InvalidInput, including every
 parse failure), 1 computation or output error; errors print one
@@ -31,6 +32,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
+from typing import BinaryIO
 
 from . import analysis, registry, solver
 from .errors import InvalidInput, LayerSolveError
@@ -47,11 +49,14 @@ _CHECK_POLICIES = {
 }
 
 
-def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[BinaryIO]:
+    """A binary file that becomes ``path`` when the block completes; on any
+    error the temp file is removed and an existing ``path`` is kept."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -59,25 +64,33 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-# The writers below yield the text in blocks of time levels: x and t are
-# formatted here, u by the kernel's format_levels, in C or, without it or for a
-# level out of its range, as '%.17g' % v, the same text as f"{v:.17g}" for
-# every double.
-
-def _solution_csv(sol) -> Iterator[bytes]:
-    yield b"t,x,u\n"
-    leads = [f"{t:.17g},".encode() for t in sol.grid.times]
-    yield from solver._KERNEL.format_levels([b""] * len(leads), leads,
-                                            [f"{x:.17g},".encode() for x in sol.mesh.points],
-                                            sol.values)
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    with _atomic_file(path) as fh:
+        fh.writelines(chunks)
 
 
-def _plot_data(sol) -> Iterator[bytes]:
-    heads = [f"\n# t={t:.17g}\n".encode() for t in sol.grid.times]
+# The writers below write their header to ``out`` and return a march sink that
+# writes each block of time levels as it is produced: x and t are formatted
+# here, u by the kernel's format_levels, in C or, without it or for a level
+# out of its range, as '%.17g' % v, the same text as f"{v:.17g}" for every
+# double.
+
+def _level_writer(out: BinaryIO, heads: list[bytes], leads: list[bytes], xs: list[bytes]):
+    write_levels = solver._KERNEL.format_levels(heads, leads, xs)
+    return lambda j0, rows: write_levels(j0, rows, out.write)
+
+
+def _solution_csv(out: BinaryIO, mesh, grid):
+    out.write(b"t,x,u\n")
+    return _level_writer(out, [b""] * (grid.m + 1), [f"{t:.17g},".encode() for t in grid.times],
+                         [f"{x:.17g},".encode() for x in mesh.points])
+
+
+def _plot_data(out: BinaryIO, mesh, grid):
+    heads = [f"\n# t={t:.17g}\n".encode() for t in grid.times]
     heads[0] = heads[0][1:]
-    yield from solver._KERNEL.format_levels(heads, [b""] * len(heads),
-                                            [f"{x:.17g} ".encode() for x in sol.mesh.points],
-                                            sol.values)
+    return _level_writer(out, heads, [b""] * len(heads),
+                         [f"{x:.17g} ".encode() for x in mesh.points])
 
 
 def _mesh_dump(mesh) -> str:
@@ -102,9 +115,9 @@ def _run_solve(args: argparse.Namespace) -> None:
     validate(spec)
     mesh = _build_mesh(args, spec)
     grid = uniform_time_grid(spec.t_final, args.m if args.m is not None else args.n)
-    sol = march(spec, mesh, grid, args.checks)
     writer = _plot_data if args.plot_data else _solution_csv
-    _atomic_write(args.out_path, writer(sol))
+    with _atomic_file(args.out_path) as fh:
+        march(spec, mesh, grid, args.checks, sink=writer(fh, mesh, grid))
 
 
 def _run_dump_mesh(args: argparse.Namespace) -> None:

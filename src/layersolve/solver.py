@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import glob
 import os
 import tempfile
 import warnings
@@ -166,16 +167,22 @@ def _format_py(lead: bytes, xs, row) -> bytes:
     return b"".join(lead + x + b"%.17g\n" for x in xs) % tuple(np.asarray(row, float).tolist())
 
 
-def _format_levels_py(heads, leads, xs, rows):
-    """For each level l: heads[l], then :func:`_format_py` of leads[l], xs and rows[l]."""
-    for head, lead, row in zip(heads, leads, rows):
-        yield head + _format_py(lead, xs, row)
+def _format_levels_py(heads, leads, xs):
+    """The function of (j0, rows, write) that writes levels j0, j0 + 1, ...:
+    for each row, the level's head, then :func:`_format_py` of its lead, xs
+    and the row."""
+    def write_levels(j0, rows, write):
+        for head, lead, row in zip(heads[j0:], leads[j0:], rows):
+            write(head + _format_py(lead, xs, row))
+    return write_levels
 
 
 class _Kernel(NamedTuple):
     """``advance`` (:func:`_advance_py`), raising ZeroPivot, and
-    ``format_levels`` (:func:`_format_levels_py`), which yields the text in
-    blocks of levels."""
+    ``format_levels`` (:func:`_format_levels_py`), which takes the heads and
+    leads of every level and the x pieces once and returns the function of
+    (j0, rows, write) that passes those levels' text to ``write`` in blocks,
+    each a bytes-like object valid only during the call."""
 
     name: str
     advance: Callable
@@ -227,11 +234,10 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
             raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
         return bad
 
-    def format_levels(heads, leads, xs, rows):
-        rows, n = np.ascontiguousarray(rows, dtype=float), len(xs)
-        if rows.shape != (len(heads), n) or len(leads) != len(heads):
-            raise ValueError(f"format_levels got {rows.shape} values for {len(heads)} "
-                             f"heads, {len(leads)} leads and {n} nodes")
+    def format_levels(heads, leads, xs):
+        n = len(xs)
+        if len(leads) != len(heads):
+            raise ValueError(f"format_levels got {len(heads)} heads and {len(leads)} leads")
         texts = [t for pair in zip(heads, leads) for t in pair]
         at = np.cumsum([0, *map(len, texts)], dtype=ctypes.c_long)
         off = np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
@@ -243,19 +249,28 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
             + int(off[-1])
         per = max(1, _BLOCK_BYTES // most)  # levels per call
         out, done = np.empty(per * most + 64, np.uint8), np.zeros(1, ctypes.c_long)
-        at_ptr, off_ptr, u_ptr, out_ptr, done_ptr = (x.ctypes.data
-                                                     for x in (at, off, rows, out, done))
-        l0 = 0
-        while l0 < len(rows):
-            count = min(per, len(rows) - l0)
-            size = c_format(count, n, text, at_ptr + 16 * l0, pieces, off_ptr,
-                            u_ptr + 8 * n * l0, out_ptr, done_ptr)
-            if size:
-                yield out[:size].tobytes()
-            l0 += int(done[0])
-            if done[0] < count:  # a value out of the compiled range: this level in Python
-                yield heads[l0] + _format_py(leads[l0], xs, rows[l0])
-                l0 += 1
+        view = memoryview(out)  # written from in place: each block is gone after its write
+
+        def write_levels(j0, rows, write):
+            rows = np.ascontiguousarray(rows, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != n or not 0 <= j0 <= len(heads) - len(rows):
+                raise ValueError(f"format_levels got {rows.shape} values from level {j0} "
+                                 f"of {len(heads)} levels of {n} nodes")
+            at_ptr, off_ptr, u_ptr, out_ptr, done_ptr = (x.ctypes.data
+                                                         for x in (at, off, rows, out, done))
+            l0 = 0
+            while l0 < len(rows):
+                count = min(per, len(rows) - l0)
+                size = c_format(count, n, text, at_ptr + 16 * (j0 + l0), pieces, off_ptr,
+                                u_ptr + 8 * n * l0, out_ptr, done_ptr)
+                if size:
+                    write(view[:size])
+                l0 += int(done[0])
+                if done[0] < count:  # a value out of the compiled range: this level in Python
+                    write(heads[j0 + l0] + _format_py(leads[j0 + l0], xs, rows[l0]))
+                    l0 += 1
+
+        return write_levels
 
     return _Kernel("c", advance, format_levels)
 
@@ -264,8 +279,10 @@ def _load_kernel(directory: str) -> _Kernel:
     """The compiled kernel, built into ``directory`` on first use.
 
     The library's name carries a CRC of the source and flags, so an edited
-    source is rebuilt.  Falls back to the Python loops when it cannot be
-    built or loaded (no ``cc``, a compile error, an unwritable directory).
+    source is rebuilt; after a build the other ``_thomas-*.so`` files in
+    ``directory``, builds of earlier sources, are removed where that works.
+    Falls back to the Python loops when it cannot be built or loaded (no
+    ``cc``, a compile error, an unwritable directory).
     """
     try:
         with open(_SOURCE, "rb") as fh:
@@ -276,6 +293,10 @@ def _load_kernel(directory: str) -> _Kernel:
         except OSError:
             _build(path)
             lib = ctypes.CDLL(path)
+            for stale in glob.glob(os.path.join(glob.escape(directory), "_thomas-*.so")):
+                if stale != path:
+                    with contextlib.suppress(OSError):
+                        os.remove(stale)
     except OSError:
         return _PYTHON_KERNEL
     return _c_kernel(lib)
@@ -323,7 +344,8 @@ def _fail(strict: bool, exc_type, message: str) -> None:
 
 
 def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
-          checks: CheckPolicy = CheckPolicy()) -> DiscreteSolution:
+          checks: CheckPolicy = CheckPolicy(), *,
+          sink: Callable[[int, np.ndarray], object] | None = None) -> DiscreteSolution | None:
     """Advance the fully discrete scheme from t = 0 to t = T.
 
     values[0] is q sampled on the mesh; each later level solves one
@@ -334,16 +356,30 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     step's bitwise reuses its matrix and its M-matrix verdict.  The audits
     follow the call in step order, each new matrix's M-matrix check before
     its steps' residuals; a zero pivot or a non-finite value raises after
-    the audits of the steps before it.  :func:`stability_audit` runs once.
+    the audits of the steps before it.  The stability audit runs once, on
+    each level's max|U| from the kernel's audit norms.
+
+    Without ``sink`` the march returns the :class:`DiscreteSolution`.  With
+    it the march holds only one chunk of levels: after a chunk's audits pass
+    it calls ``sink(j0, rows)`` with levels j0 .. j0 + len(rows) - 1 (level 0
+    comes with the first chunk), as a read-only view that is valid only
+    during the call, and returns None.  A chunk that fails is not passed on.
     """
     n = mesh.n
     where = f"(N={n}, M={grid.m})"
-    values = np.empty((grid.m + 1, n + 1))
-    values[0] = _evaluate(spec.q, mesh.points)
-    if not np.all(np.isfinite(values[0])):
+    q0 = _evaluate(spec.q, mesh.points)
+    if not np.all(np.isfinite(q0)):
         raise NonFiniteValue("initial data contains non-finite values")
+    if checks.audit:  # for the stability audit: max|p|, max|r| and max|U| per level
+        ends_max = np.abs(_ends(spec, grid.times[:1]))[0]
+        level_max = np.empty(grid.m + 1)
+        level_max[0] = max(q0.max(), -q0.min())
 
     chunk = min(grid.m, max(1, _CHUNK_BYTES // (8 * (n - 1))))
+    # the levels themselves, or with a sink one chunk of them, row 0 holding
+    # the last level of the chunk before
+    values = np.empty((grid.m + 1 if sink is None else chunk + 1, n + 1))
+    values[0] = q0
     weights = stencil_weights(spec, mesh)
     # chunk arrays are kept for the march, as freeing them per chunk costs page
     # faults; slots grow to the most new matrices a chunk has had
@@ -357,7 +393,6 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         except (TypeError, ValueError):  # a callable that takes only a float t
             *coefs, f = map(np.stack, zip(*(sample_coefficients(spec, mesh, t)
                                             for t in t_mid.tolist())))
-        ends = np.array([(float(spec.p(t)), float(spec.r(t))) for t in t_next.tolist()])
         # a new matrix wherever a, b or c differ bitwise from the step before
         new = np.zeros(len(f), dtype=bool)
         for i, x in enumerate(coefs):
@@ -368,15 +403,17 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
                 tie = np.flatnonzero(~new[1:]) + 1
                 new[tie] = (bits[tie] != bits[tie - 1]).any(axis=1)
         prev = [x[-1].view(np.int64).copy() for x in coefs]
+        ends = _ends(spec, t_next)
         # segments: from the chunk's first step and each later new matrix,
         # whose matrix the kernel builds from its samples into the next slot
         starts = [0, *(np.flatnonzero(new[1:]) + 1).tolist()]
         slots = slots if len(slots) >= len(starts) else np.empty((len(starts), 4, n + 1))
+        u = values[j0:j0 + len(f) + 1] if sink is None else values[:len(f) + 1]
         try:
             bad, pivot = _KERNEL.advance(weights, spec.params.mu, grid.dt,
                                          coefs if len(starts) == len(f) else
-                                         [x[starts] for x in coefs], new, f, ends,
-                                         values[j0:j0 + len(f) + 1], checks.audit,
+                                         [x[starts] for x in coefs], new, f,
+                                         ends, u, checks.audit,
                                          slots[:len(starts)], norms[:len(f)]), None
         except ZeroPivot as exc:
             bad, pivot = exc.step, exc
@@ -406,14 +443,28 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
                             f"{where}") from pivot
         if bad >= 0:
             raise NonFiniteValue(f"non-finite value at step j={j0 + bad} {where}")
-    sol = DiscreteSolution(mesh=mesh, grid=grid, values=values)
-    if checks.audit and not (report := stability_audit(sol, spec)).passed:
+        if checks.audit:
+            ends_max = np.maximum(ends_max, np.abs(ends).max(0))
+            # step k's max|x| is level k + 1's max|U|: rows 0 and N solve to p and r
+            level_max[j0 + 1:j0 + len(u)] = norms[:len(f), 2]
+        if sink is not None:
+            first = 0 if j0 == 0 else 1  # level 0 is finished with the first chunk
+            done = u[first:].view()
+            done.flags.writeable = False
+            sink(j0 + first, done)
+            values[0] = u[-1]
+    if checks.audit and not (report := _audit_report(spec, ends_max, q0,
+                                                     abs(float(level_max.max())))).passed:
         # step j produces level j + 1
-        levels = np.maximum(values[1:].max(axis=1), -values[1:].min(axis=1))
         _fail(checks.strict, StabilityViolation,
               f"max|U| {report.max_abs:.6g} exceeds stability bound {report.bound:.6g}, "
-              f"first at step j={int(np.argmax(levels > report.bound))} {where}")
-    return sol
+              f"first at step j={int(np.argmax(level_max[1:] > report.bound))} {where}")
+    return None if sink is not None else DiscreteSolution(mesh=mesh, grid=grid, values=values)
+
+
+def _ends(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
+    """(p(t), r(t)) for each time, one scalar call each."""
+    return np.array([(float(spec.p(t)), float(spec.r(t))) for t in times.tolist()])
 
 
 @dataclass(frozen=True)
@@ -435,15 +486,24 @@ class AuditReport:
 def stability_audit(sol: DiscreteSolution, spec: ProblemSpec) -> AuditReport:
     """Check max |U| <= data_sup + sup|f|/beta + STABILITY_SLACK on a finished solution.
 
-    The only statement of the a priori bound.  max |U| is bitwise
-    ``np.max(np.abs(values))``, NaN included, but copies no values.
+    max |U| is bitwise ``np.max(np.abs(values))``, NaN included, but copies
+    no values.
     """
-    p_max, r_max = np.abs([(float(spec.p(t)), float(spec.r(t))) for t in sol.grid.times]).max(0)
-    data_sup = float(max(p_max, r_max, np.max(np.abs(_evaluate(spec.q, sol.mesh.points)))))
+    return _audit_report(spec, np.abs(_ends(spec, sol.grid.times)).max(0),
+                         _evaluate(spec.q, sol.mesh.points),
+                         abs(max(float(sol.values.max()), -float(sol.values.min()))))
+
+
+def _audit_report(spec: ProblemSpec, ends_max: np.ndarray, q0: np.ndarray,
+                  max_abs: float) -> AuditReport:
+    """:func:`stability_audit`'s report from max|p| and max|r| over the times,
+    ``ends_max``, the initial level ``q0`` and max|U|.  The only statement of
+    the a priori bound."""
+    p_max, r_max = ends_max
+    data_sup = float(max(p_max, r_max, np.max(np.abs(q0))))
     xs_l, xs_r, ts = _sample_grids(spec)
     f_sup = max(0.0, *(float(np.max(np.abs(_sample(fn, xs, ts))))
                        for xs, fn in ((xs_l, spec.f.left), (xs_r, spec.f.right))))
     bound = data_sup + f_sup / spec.beta + STABILITY_SLACK
-    max_abs = abs(max(float(sol.values.max()), -float(sol.values.min())))
     return AuditReport(max_abs=max_abs, data_sup=data_sup, f_sup=f_sup,
                        beta=spec.beta, bound=bound, margin=bound - max_abs)

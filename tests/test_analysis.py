@@ -1,5 +1,7 @@
 """Double-mesh estimation, convergence studies, temporal studies, CSV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,22 @@ class TestConvergenceStudy:
     def test_requires_two_levels(self):
         with pytest.raises(ValueError):
             convergence_study(quick_spec(), 16, 4, levels=1)
+
+    def test_six_level_ladder_holds_a_quarter_of_the_finest_level(self):
+        """The study streams each march: its tracemalloc peak is the kept
+        N = M = 2048 and 1024 levels (33.6 + 8.4 MB) and one chunk of the
+        N = 4096 march, 44.3 MB measured (example1, eps = 1e-8, mu = 1e-6,
+        base N = M = 64).  Holding every level measured 246.6 MB; the bound
+        leaves 13% over the measurement."""
+        spec = lookup("example1", 1e-8, 1e-6)
+        tracemalloc.start()
+        try:
+            report = convergence_study(spec, 64, 64, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.levels[-1].n == 2048
+        assert peak <= 50e6
 
 
 class TestTemporalOrderStudy:

@@ -1,15 +1,18 @@
 """Command-line interface: config validation, file outputs, determinism."""
 
+import dataclasses
 import hashlib
 import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from layersolve import (CheckPolicy, DiscreteSolution, UnknownExample, cli, derive_regime, march,
-                        parse_report_csv, solver, spatial_mesh_for, uniform_time_grid)
+from layersolve import (CheckPolicy, DiscreteSolution, PiecewiseField, UnknownExample, cli,
+                        derive_regime, march, parse_report_csv, registry, solver,
+                        spatial_mesh_for, uniform_time_grid)
 from layersolve.cli import _atomic_write, main
 from layersolve.registry import lookup
 
@@ -198,7 +201,7 @@ class TestOutputFailures:
     def test_memory_error_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         # stands in for march's np.empty on a huge N x M; the real allocation
         # can succeed where the kernel overcommits memory
-        def march(*args):
+        def march(*args, **kwargs):
             raise MemoryError("Unable to allocate 32.0 TiB")
 
         monkeypatch.setattr(cli, "march", march)
@@ -209,6 +212,35 @@ class TestOutputFailures:
         assert out == ""
         assert err == "error: MemoryError: Unable to allocate 32.0 TiB\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("plot", [False, True], ids=["csv", "plot-data"])
+    @pytest.mark.parametrize("kernel", ["python", "loaded"])
+    def test_failed_streamed_solve_keeps_old_target(self, capsys, tmp_path, monkeypatch,
+                                                    kernel, plot):
+        """f turns NaN in the march's second chunk of 3 steps, after the first
+        chunk's text went into the temp file: one error line, the old file
+        kept and no temp file left."""
+        base = registry.lookup
+
+        def lookup_nan(*args):
+            spec = base(*args)
+            f = lambda fn: lambda x, t: fn(x, t) + np.where(np.asarray(t) > 0.5, np.nan, 0.0)
+            return dataclasses.replace(spec, f=PiecewiseField(
+                left=f(spec.f.left), right=f(spec.f.right), d=spec.d))
+
+        monkeypatch.setattr(registry, "lookup", lookup_nan)
+        monkeypatch.setattr(solver, "_CHUNK_BYTES", 3 * 8 * 15)
+        if kernel == "python":
+            monkeypatch.setattr(solver, "_KERNEL", solver._PYTHON_KERNEL)
+        out = tmp_path / "sol.csv"
+        out.write_bytes(b"old\n")
+        code, stdout, err = run_cli(["solve", "--epsilon", "1e-5", "--mu", "1e-4", "--N", "16",
+                                     "--M", "8", "--out", str(out)] + ["--plot-data"] * plot,
+                                    capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: NonFiniteValue: non-finite value at step j=4 (N=16, M=8)\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b"old\n"
 
     def test_failed_stream_keeps_old_target(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -328,7 +360,9 @@ def test_out_of_range_level_goes_to_python_alone(monkeypatch, plot):
     calls, format_py = [], solver._format_py
     monkeypatch.setattr(solver, "_format_py", lambda *a: calls.append(a[2]) or format_py(*a))
     monkeypatch.setattr(solver, "_BLOCK_BYTES", 4 * most - 1)
-    chunks = list((cli._plot_data if plot else cli._solution_csv)(sol))
+    chunks = []
+    out = types.SimpleNamespace(write=lambda block: chunks.append(bytes(block)))
+    (cli._plot_data if plot else cli._solution_csv)(out, mesh, sol.grid)(0, values)
     texts = list(level_texts(sol, plot))
     expected = [b"".join(texts[j:k]) for j, k in ((0, 3), (3, 4), (4, 5), (5, 8), (8, 10))]
     assert chunks[plot ^ 1:] == expected

@@ -404,9 +404,16 @@ def powers_of_ten():
         yield from (np.nextafter(v, 0.0), v, np.nextafter(v, np.inf))
 
 
+def written(write_levels, j0, rows):
+    """The blocks ``write_levels`` writes, each copied during its write."""
+    blocks = []
+    write_levels(j0, rows, lambda block: blocks.append(bytes(block)))
+    return blocks
+
+
 def format_level(kernel, lead, xs, row):
     """The text of one level through ``kernel.format_levels``."""
-    return b"".join(kernel.format_levels([b""], [lead], xs, [row]))
+    return b"".join(written(kernel.format_levels([b""], [lead], xs), 0, [row]))
 
 
 def decimal_ties():
@@ -518,7 +525,8 @@ class TestCompiledRange:
         rows = [[0.5, -0.25], [1.5, 2e-5]]
         expected = b"".join(head + b"".join(lead + x + b"%.17g\n" % v for x, v in zip(xs, row))
                             for head, lead, row in zip(heads, leads, rows))
-        assert b"".join(solver._KERNEL.format_levels(heads, leads, xs, rows)) == expected
+        assert b"".join(written(solver._KERNEL.format_levels(heads, leads, xs), 0, rows)) \
+            == expected
 
 
 SANITIZED_RUN = """
@@ -610,3 +618,16 @@ class TestLoader:
         assert solver._load_kernel(str(cache)).name == "c"
         assert list(cache.iterdir()) == built
         assert built[0].stat().st_mtime_ns == mtime
+
+    @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
+    def test_build_removes_stale_builds(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name in ("_thomas-00000000.so", "_thomas-0badbeef.so", "_thomas-1234.tmp",
+                     "other.so"):
+            (cache / name).write_bytes(b"stale")
+        assert solver._load_kernel(str(cache)).name == "c"
+        # the new build stays, and so does every file that is not a build
+        built = [p.name for p in cache.glob("_thomas-*.so")]
+        assert len(built) == 1
+        assert {p.name for p in cache.iterdir()} == {*built, "_thomas-1234.tmp", "other.so"}

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (CheckPolicy, PerturbationParams, PiecewiseField,
-                        ProblemSpec, RegimeCase, assemble, derive_regime,
-                        m_matrix_check, march, solver, spatial_mesh_for,
-                        stability_audit, uniform_time_grid, validate)
+                        ProblemSpec, RegimeCase, assemble, bisect, convergence_study,
+                        derive_regime, double_mesh_error, m_matrix_check, march,
+                        solver, spatial_mesh_for, stability_audit,
+                        uniform_time_grid, validate)
 
 N, M = 16, 8
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -85,6 +86,25 @@ def test_strict_march_stays_within_the_stability_bound(shape, data):
 
 
 @PROPERTY
+@given(shapes, data_vectors)
+def test_march_audits_the_report_of_its_values(shape, data):
+    """march takes max|U| per level from the kernel's norms and max|p|, max|r|
+    from its steps' calls: the report it checks is stability_audit's of the
+    returned values, under both kernels."""
+    spec = make_spec(shape, data)
+    mesh, grid = mesh_and_grid(spec)
+    for kernel in KERNELS:
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_KERNEL", kernel)
+            mp.setattr(solver, "_CHUNK_BYTES", 3 * 8 * (N - 1))
+            original = solver._audit_report
+            mp.setattr(solver, "_audit_report", lambda *args: seen.append(args) or original(*args))
+            sol = march(spec, mesh, grid, CheckPolicy())
+        assert original(*seen[0]) == stability_audit(sol, spec)
+
+
+@PROPERTY
 @given(shapes, data_vectors, data_vectors, st.floats(-3.0, 3.0))
 def test_march_is_linear_in_the_data(shape, data, other, k):
     mesh, grid = mesh_and_grid(make_spec(shape, data))
@@ -134,3 +154,26 @@ def test_march_is_bitwise_equal_under_both_kernels(shape, data):
             results.add(sol.values.tobytes())
             assert calls == [3, 3, 2]
         assert len(results) == 1
+
+
+@PROPERTY
+@given(shapes, data_vectors, st.sampled_from([1, 3, 5]))
+def test_streamed_study_error_is_bitwise_double_mesh_error(shape, data, steps):
+    """The study folds each chunk of levels into E as its march produces it.
+    Chunks of ``steps`` steps on the N = 32 level (1 on N = 64, 2, 6 or 10 on
+    N = 16) start on odd levels and hold single odd levels, and E must still
+    be bitwise the max over the full solutions."""
+    spec = make_spec(shape, data)
+    mesh, _ = mesh_and_grid(spec)
+    meshes = [mesh, bisect(mesh), bisect(bisect(mesh))]
+    strict = CheckPolicy.strict_policy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_CHUNK_BYTES", steps * 8 * (2 * N - 1))
+        for kernel in KERNELS:
+            mp.setattr(solver, "_KERNEL", kernel)
+            sols = [march(spec, msh, uniform_time_grid(spec.t_final, M << k), strict)
+                    for k, msh in enumerate(meshes)]
+            expected = [double_mesh_error(c, f) for c, f in zip(sols, sols[1:])]
+            report = convergence_study(spec, N, M, 2, checks=strict)
+            assert np.array([rec.e for rec in report.levels]).tobytes() == \
+                np.array(expected).tobytes()

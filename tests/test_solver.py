@@ -401,20 +401,22 @@ class TestStabilityAudit:
     ], ids=["warn", "strict", "off"])
     def test_march_calls_the_audit_once_when_audited(self, monkeypatch,
                                                       checks, calls):
+        # the report is made once per march, streamed or not
         import layersolve.solver as solver_mod
         seen = []
-        original = solver_mod.stability_audit
+        original = solver_mod._audit_report
 
-        def counting(sol, spec):
-            seen.append(sol)
-            return original(sol, spec)
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(solver_mod, "stability_audit", counting)
+        monkeypatch.setattr(solver_mod, "_audit_report", counting)
         spec = lookup("example1", 1e-8, 1e-6)
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, 0.5)
-        sol = march(spec, mesh, uniform_time_grid(1.0, 8), checks)
-        assert len(seen) == calls
-        assert all(s is sol for s in seen)
+        for sink in (None, lambda j0, rows: None):
+            seen.clear()
+            march(spec, mesh, uniform_time_grid(1.0, 8), checks, sink=sink)
+            assert len(seen) == calls
 
     def test_max_abs_makes_no_copy_of_the_values(self):
         spec = lookup("example1", 1e-8, 1e-6)
@@ -517,3 +519,81 @@ class TestStabilityAudit:
         base_report = stability_audit(base_mesh_sol, base)
         assert report.f_sup == pytest.approx(scale * base_report.f_sup,
                                              rel=1e-12)
+
+
+def nan_f_after(spec, t_bad):
+    """spec with f NaN at every sample time after t_bad."""
+    def f(branch):
+        return lambda x, t: branch(x, t) + np.where(np.asarray(t) > t_bad, np.nan, 0.0)
+    return dataclasses.replace(spec, f=PiecewiseField(left=f(spec.f.left),
+                                                      right=f(spec.f.right), d=spec.d))
+
+
+class TestStreamedMarch:
+    """``march(..., sink=...)``: the same levels, a chunk at a time."""
+
+    KERNELS = ["python", "loaded"]
+
+    @pytest.fixture(params=KERNELS)
+    def kernel(self, request, monkeypatch):
+        import layersolve.solver as solver_mod
+        if request.param == "python":
+            monkeypatch.setattr(solver_mod, "_KERNEL", solver_mod._PYTHON_KERNEL)
+        return solver_mod
+
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_sink_gets_each_level_once_as_a_read_only_view(self, kernel, monkeypatch,
+                                                           steps):
+        spec = lookup("example1", 1e-5, 1e-4)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, spec.d)
+        grid = uniform_time_grid(1.0, 8)
+        full = march(spec, mesh, grid, CheckPolicy.strict_policy()).values
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", steps * 8 * 31)
+        blocks = []
+
+        def sink(j0, rows):
+            assert not rows.flags.writeable
+            blocks.append((j0, rows.copy()))
+
+        assert march(spec, mesh, grid, CheckPolicy.strict_policy(), sink=sink) is None
+        starts = [j0 for j0, _ in blocks]
+        assert starts == [0, *range(steps + 1, 9, steps)]
+        assert np.concatenate([rows for _, rows in blocks]).tobytes() == full.tobytes()
+
+    def test_non_finite_f_in_the_second_chunk(self, kernel, monkeypatch):
+        # chunks of 3 steps; f turns NaN at step 4's midpoint t = 4.5/8, in
+        # the second chunk, so the sink has seen levels 0-3 and no more
+        spec = nan_f_after(lookup("example1", 1e-5, 1e-4), 0.5)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 32, spec.d)
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", 3 * 8 * 31)
+        seen = []
+        with pytest.raises(NonFiniteValue, match=r"step j=4 \(N=32, M=8\)"):
+            march(spec, mesh, uniform_time_grid(1.0, 8), CheckPolicy(),
+                  sink=lambda j0, rows: seen.append((j0, len(rows))))
+        assert seen == [(0, 4)]
+
+    def test_stability_violation_text_is_the_unstreamed_text(self, kernel):
+        spec, mesh = lying_beta_case()
+        grid = uniform_time_grid(1.0, 64)
+        texts = []
+        for sink in (None, lambda j0, rows: None):
+            with pytest.raises(StabilityViolation) as err:
+                march(spec, mesh, grid, CheckPolicy.strict_policy(), sink=sink)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("max|U| ") and "first at step j=1 " in texts[0]
+
+    @pytest.mark.parametrize("checks,times", [(CheckPolicy(), 9), (CheckPolicy.off(), 8)],
+                             ids=["audited", "off"])
+    def test_boundary_data_is_called_once_per_time(self, checks, times):
+        # each chunk's steps and the stability bound share one call per time;
+        # t = 0 is needed only by the bound
+        calls = []
+        base = lookup("example1", 1e-5, 1e-4)
+        spec = dataclasses.replace(base, p=lambda t: calls.append(("p", t)) or base.p(t),
+                                   r=lambda t: calls.append(("r", t)) or base.r(t))
+        mesh = spatial_mesh_for(derive_regime(base), base.params, 32, base.d)
+        grid = uniform_time_grid(1.0, 8)
+        march(spec, mesh, grid, checks)
+        for name in "pr":
+            assert sorted(t for n, t in calls if n == name) == grid.times[9 - times:].tolist()
