@@ -10,8 +10,7 @@ from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
                        convergence_study, double_mesh_difference,
                        double_mesh_error, parse_report_csv, render_report_csv,
                        render_text_table, temporal_order_study)
-from .discretization import (MMatrixReport, TridiagonalSystem, assemble,
-                             m_matrix_check)
+from .discretization import assemble, m_matrix_check
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      InvalidInput, LayerSolveError, LayersOverlap,
                      ManufacturedMismatch, MeshMismatch, MMatrixViolation,

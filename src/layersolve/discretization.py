@@ -21,7 +21,8 @@ A step is assembled in three parts: sample a, b, c and f at t_mid
 (:func:`sample_coefficients`), build the matrix A from the first three
 (:func:`_bands`), and form the right side from A itself and f
 (:func:`step_rhs`).  A is one (4, N+1) array of bands, sub, diag, sup and
-4c/dt, the one representation of a step matrix.  The samples are arrays
+4c/dt, the one representation of a step matrix; every tridiagonal routine
+takes such an array and reads rows 0-2.  The samples are arrays
 over rows 1..N-1; a piecewise field takes its left branch below N/2 and its
 right branch from N/2 on (:func:`_on_rows`).  Row N/2 is sampled like the
 rows right of it, then overwritten by the transmission row.  A's
@@ -39,7 +40,6 @@ from .mesh import SpatialMesh
 from .problem import PiecewiseField, ProblemSpec, _evaluate
 
 __all__ = [
-    "TridiagonalSystem",
     "MMatrixReport",
     "sample_coefficients",
     "stencil_weights",
@@ -49,38 +49,13 @@ __all__ = [
 ]
 
 
-def _tridiagonal_apply(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
+def _tridiagonal_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the matrix whose sub, diag and sup are rows 0-2 of ``bands``."""
+    sub, diag, sup = bands[:3]
     y = diag * x
     y[1:] += sub[1:] * x[:-1]
     y[:-1] += sup[:-1] * x[1:]
     return y
-
-
-@dataclass(frozen=True, eq=False)
-class TridiagonalSystem:
-    """Tridiagonal system over N+1 unknowns; sub[0] and sup[N] are unused (zero).
-
-    Rows 0 and N are identity rows pinning the boundary values.  Interior
-    rows follow the positive-diagonal convention.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        size = self.diag.shape[0]
-        for name in ("sub", "diag", "sup", "rhs"):
-            arr = getattr(self, name)
-            if arr.shape != (size,):
-                raise ValueError("sub, diag, sup, rhs must have the same length")
-            arr.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.diag.shape[0]
 
 
 def _on_rows(field: PiecewiseField, mesh: SpatialMesh, t, out=None) -> np.ndarray:
@@ -171,8 +146,7 @@ def step_rhs(bands: np.ndarray, u_prev: np.ndarray, f: np.ndarray,
     since A's diagonal holds cbar = dbar + 4c/dt, with f sampled at t_mid;
     rows 0 and N carry the boundary values p and r at t_next, row N/2 zero.
     """
-    sub, diag, sup, c4dt = bands
-    rhs = c4dt * u_prev - _tridiagonal_apply(sub, diag, sup, u_prev)
+    rhs = bands[3] * u_prev - _tridiagonal_apply(bands, u_prev)
     rhs[1:-1] -= 2.0 * f
     rhs[0], rhs[-1] = p, r
     rhs[(len(rhs) - 1) // 2] = 0.0
@@ -180,20 +154,19 @@ def step_rhs(bands: np.ndarray, u_prev: np.ndarray, f: np.ndarray,
 
 
 def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
-             u_prev: np.ndarray) -> TridiagonalSystem:
-    """Assemble the full system for the step advancing to t_next.
+             u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step advancing to t_next: its bands, the (4, N+1) array of
+    :func:`_bands`, and its right side, of :func:`step_rhs`.
 
     Row 0 pins U_0 = p(t_next), row N pins U_N = r(t_next), row N/2 is the
-    transmission row; every other row is the (negated) interior stencil of
-    :func:`_bands` with the right side of :func:`step_rhs`.
+    transmission row; every other row is the (negated) interior stencil.
     """
     n = mesh.n
     if u_prev.shape != (n + 1,):
         raise ValueError(f"u_prev must have {n + 1} entries, got {u_prev.shape}")
     *coefs, f = sample_coefficients(spec, mesh, t_next - 0.5 * dt)
     bands = _bands(stencil_weights(spec, mesh), spec.params.mu, dt, *coefs)
-    return TridiagonalSystem(*bands[:3], step_rhs(bands, u_prev, f, float(spec.p(t_next)),
-                                                  float(spec.r(t_next))))
+    return bands, step_rhs(bands, u_prev, f, float(spec.p(t_next)), float(spec.r(t_next)))
 
 
 @dataclass(frozen=True)
@@ -211,16 +184,18 @@ class MMatrixReport:
     strict_rows: int
 
 
-def m_matrix_check(sys: TridiagonalSystem) -> MMatrixReport:
-    """Verify M-matrix structure after normalizing each row's diagonal to be positive.
+def m_matrix_check(bands: np.ndarray) -> MMatrixReport:
+    """Verify M-matrix structure of the matrix whose sub, diag and sup are
+    rows 0-2 of ``bands`` (a row 3 is ignored), after normalizing each row's
+    diagonal to be positive.
 
     Checks: off-diagonals <= 0 in every row except the two boundary identity
     rows; |diag| >= |sub| + |sup| in every row, strictly in at least one.
     Purely diagnostic; never raises.
     """
-    n = sys.size - 1
-    sign = np.where(sys.diag >= 0.0, 1.0, -1.0)
-    diag, sub, sup = (sign * band for band in (sys.diag, sys.sub, sys.sup))
+    n = bands.shape[1] - 1
+    sign = np.where(bands[1] >= 0.0, 1.0, -1.0)
+    sub, diag, sup = sign * bands[:3]
 
     violations = [(int(i), "zero diagonal") for i in np.flatnonzero(diag == 0.0)]
     violations += [(int(i) + 1, "positive off-diagonal")

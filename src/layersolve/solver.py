@@ -13,8 +13,8 @@ The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
 Python loops below; both give bitwise the same doubles and the same solution
 text.  ``KERNEL`` says which one was loaded: ``"c"`` or ``"python"``.
-:func:`thomas_solve`, for one assembled system, runs the Python kernel's
-loop :func:`_solve_py` under either.
+:func:`thomas_solve`, for one system of bands and a right side, runs the
+Python kernel's loop :func:`_solve_py` under either.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .discretization import (TridiagonalSystem, _bands, _tridiagonal_apply, m_matrix_check,
-                             sample_coefficients, stencil_weights, step_rhs)
+from .discretization import (_bands, _tridiagonal_apply, m_matrix_check, sample_coefficients,
+                             stencil_weights, step_rhs)
 from .errors import (CheckWarning, MMatrixViolation, NonFiniteValue,
                      ResidualViolation, StabilityViolation, ZeroPivot)
 from .mesh import SpatialMesh, TimeGrid
@@ -96,20 +96,24 @@ class DiscreteSolution:
         self.values.setflags(write=False)
 
 
-def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system by Thomas elimination (no pivoting).
+def thomas_solve(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs by Thomas elimination (no pivoting), where A's sub,
+    diag and sup are rows 0-2 of ``bands`` (sub[0] and sup[N] unused).
 
-    Raises ZeroPivot (with the row index) when an eliminated pivot has
-    magnitude below PIVOT_FLOOR.  Boundary identity rows come back bit-exact.
+    Raises ValueError unless there are at least 3 rows and ``rhs`` has one
+    entry per row, and ZeroPivot (with the row index) when an eliminated
+    pivot has magnitude below PIVOT_FLOOR.  Boundary identity rows come back
+    bit-exact.
     """
-    if sys.size < 3:
-        raise ValueError("system must have at least 3 rows")
-    return _solve_py(sys)
+    if bands.ndim != 2 or len(bands) < 3 or rhs.shape != bands.shape[1:] or len(rhs) < 3:
+        raise ValueError(f"bands {bands.shape} and rhs {rhs.shape} are not a system "
+                         "of at least 3 rows")
+    return _solve_py(bands, rhs)
 
 
-def _solve_py(sys: TridiagonalSystem) -> np.ndarray:
+def _solve_py(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Forward elimination and back sweep in Python floats."""
-    sub, diag, sup, rhs = (a.tolist() for a in (sys.sub, sys.diag, sys.sup, sys.rhs))
+    (sub, diag, sup), rhs = bands[:3].tolist(), rhs.tolist()
     piv = diag[0]
     if abs(piv) < PIVOT_FLOOR:
         raise ZeroPivot(0)
@@ -148,14 +152,14 @@ def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
         if k == 0 or is_new[k]:
             band, *samples = next(built)
             band[:] = _bands(w, mu, dt, *samples)
-        sys = TridiagonalSystem(*band[:3], step_rhs(band, u[k], f[k], p, r))
+        rhs = step_rhs(band, u[k], f[k], p, r)
         try:
-            x = _solve_py(sys)
+            x = _solve_py(band, rhs)
         except ZeroPivot as exc:
             raise ZeroPivot(exc.row, step=k) from None
         if not np.all(np.isfinite(x)):
             return k
-        norms[k] = (residual_max_norm(sys, x), np.max(np.abs(sys.rhs)),
+        norms[k] = (residual_max_norm(band, rhs, x), np.max(np.abs(rhs)),
                     np.max(np.abs(x))) if audit else 0.0
         x[0], x[-1] = p, r
         u[k + 1] = x
@@ -331,10 +335,9 @@ _KERNEL = _load_kernel(os.path.join(os.path.dirname(_SOURCE), "__pycache__"))
 KERNEL = _KERNEL.name
 
 
-def residual_max_norm(sys: TridiagonalSystem, x: np.ndarray) -> float:
-    """Max-norm of A x - rhs for the stored tridiagonal matrix."""
-    return float(np.max(np.abs(_tridiagonal_apply(sys.sub, sys.diag, sys.sup, x)
-                               - sys.rhs)))
+def residual_max_norm(bands: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> float:
+    """Max-norm of A x - rhs, where A's sub, diag and sup are rows 0-2 of ``bands``."""
+    return float(np.max(np.abs(_tridiagonal_apply(bands, x) - rhs)))
 
 
 def _fail(strict: bool, exc_type, message: str) -> None:
@@ -425,7 +428,7 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
             if new[k]:
                 sub, diag, sup = slots[slot, :3]
                 row_scale = float(np.max(np.abs(sub) + np.abs(diag) + np.abs(sup)))
-                report = m_matrix_check(TridiagonalSystem(sub, diag, sup, np.zeros(n + 1)))
+                report = m_matrix_check(slots[slot])
                 if not report.passed:
                     _fail(checks.strict, MMatrixViolation,
                           f"M-matrix check failed at step j={j0 + k} {where}: "

@@ -35,7 +35,6 @@ from layersolve.discretization import stencil_weights
 from layersolve.errors import LayersOverlap
 from layersolve.mesh import LayerParams
 from layersolve.problem import ProblemSpec, PiecewiseField, PerturbationParams
-from layersolve.discretization import TridiagonalSystem
 
 import independent_scheme
 from manufactured import manufactured_linear
@@ -78,13 +77,13 @@ def audited_level_solutions(spec, base_n, base_m, levels):
         grid = uniform_time_grid(spec.t_final, base_m << lvl)
         sol = march(spec, mesh, grid, CheckPolicy.off())
         for j in range(grid.m):
-            sys = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt,
-                           sol.values[j])
-            report = m_matrix_check(sys)
+            bands, rhs = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt,
+                                  sol.values[j])
+            report = m_matrix_check(bands)
             audit["mmatrix_violations"] += len(report.violations)
             audit["systems"] += 1
-            res = residual_max_norm(sys, sol.values[j + 1])
-            tol = 1e-10 * (1.0 + float(np.max(np.abs(sys.rhs))))
+            res = residual_max_norm(bands, rhs, sol.values[j + 1])
+            tol = 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
             audit["worst_residual_ratio"] = max(audit["worst_residual_ratio"],
                                                 res / tol)
         solutions.append(sol)
@@ -407,7 +406,6 @@ class TestCriterion8OracleEquivalence:
             diag = (np.abs(sub) + np.abs(sup) + rng.uniform(0.3, 2.0, size))
             diag *= rng.choice([-1.0, 1.0], size)
             rhs = rng.uniform(-10.0, 10.0, size)
-            sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
             dense = np.zeros((size, size))
             np.fill_diagonal(dense, diag)
             for i in range(1, size):
@@ -415,7 +413,7 @@ class TestCriterion8OracleEquivalence:
             for i in range(size - 1):
                 dense[i, i + 1] = sup[i]
             expected = np.linalg.solve(dense, rhs)
-            got = thomas_solve(sys)
+            got = thomas_solve(np.array([sub, diag, sup]), rhs)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(got - expected)) <= 1e-12 * (1.0 + scale)
 

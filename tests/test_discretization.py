@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
-                        ProblemSpec, TridiagonalSystem,
-                        assemble, lookup, m_matrix_check,
+                        ProblemSpec, assemble, lookup, m_matrix_check,
                         spatial_mesh_for, derive_regime, thomas_solve, uniform_mesh)
 from layersolve.discretization import sample_coefficients, stencil_weights
 from layersolve.mesh import SpatialMesh
@@ -60,8 +59,8 @@ class Row(NamedTuple):
 
 def assembled_row(spec, mesh, i, t_mid, dt, u_prev):
     """Row i of the assembled step around t_mid, un-negated to operator form."""
-    sys = assemble(spec, mesh, t_mid + dt / 2, dt, u_prev)
-    return Row(-sys.sub[i], -sys.diag[i], -sys.sup[i], -sys.rhs[i])
+    (sub, diag, sup, _), rhs = assemble(spec, mesh, t_mid + dt / 2, dt, u_prev)
+    return Row(-sub[i], -diag[i], -sup[i], -rhs[i])
 
 
 def oracle_assemble(spec, mesh, t_next, dt, u_prev):
@@ -241,28 +240,28 @@ class TestAssemble:
         rng = np.random.default_rng(7)
         u_prev = rng.normal(size=65)
         t_next, dt = 0.25, 1.0 / 64
-        sys = assemble(spec, mesh, t_next, dt, u_prev)
+        bands, got_rhs = assemble(spec, mesh, t_next, dt, u_prev)
         sub, diag, sup, rhs = oracle_assemble(spec, mesh, t_next, dt, u_prev)
         for i in (1, 7, 8, 20, 31, 33, 40, 57, 63):
-            assert sys.sub[i] == pytest.approx(sub[i], rel=1e-14)
-            assert sys.diag[i] == pytest.approx(diag[i], rel=1e-14)
-            assert sys.sup[i] == pytest.approx(sup[i], rel=1e-14)
-            assert sys.rhs[i] == pytest.approx(rhs[i], rel=1e-13)
-        assert (sys.sub[32], sys.diag[32], sys.sup[32]) == transmission_row(mesh)
-        assert sys.rhs[32] == 0.0
+            assert bands[0, i] == pytest.approx(sub[i], rel=1e-14)
+            assert bands[1, i] == pytest.approx(diag[i], rel=1e-14)
+            assert bands[2, i] == pytest.approx(sup[i], rel=1e-14)
+            assert got_rhs[i] == pytest.approx(rhs[i], rel=1e-13)
+        assert tuple(bands[:3, 32]) == transmission_row(mesh)
+        assert got_rhs[32] == 0.0
 
     def test_matches_independent_oracle(self):
         spec = lookup("example1", 1e-8, 1e-6)
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
         for u_prev, t_next in ((np.zeros(65), 1.0 / 64),
                                (np.sin(3.0 * mesh.points), 0.5)):
-            sys = assemble(spec, mesh, t_next, 1.0 / 64, u_prev)
+            bands, got_rhs = assemble(spec, mesh, t_next, 1.0 / 64, u_prev)
             sub, diag, sup, rhs = oracle_assemble(spec, mesh, t_next, 1.0 / 64,
                                                   u_prev)
-            np.testing.assert_allclose(sys.sub, sub, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(sys.diag, diag, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(sys.sup, sup, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(sys.rhs, rhs, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(bands[0], sub, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(bands[1], diag, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(bands[2], sup, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(got_rhs, rhs, rtol=1e-12, atol=1e-13)
 
     def test_boundary_rows_pin_data(self):
         spec = plain_spec(a_left=lambda x, t: -1.0, a_right=lambda x, t: 1.0,
@@ -273,18 +272,18 @@ class TestAssemble:
         mesh = nine_point_mesh()
         rng = np.random.default_rng(3)
         for u_prev in (np.zeros(9), rng.normal(size=9)):
-            sys = assemble(spec, mesh, 0.7, 0.1, u_prev)
-            assert sys.diag[0] == 1.0 and sys.sub[0] == 0.0 and sys.sup[0] == 0.0
-            assert sys.diag[8] == 1.0 and sys.sub[8] == 0.0 and sys.sup[8] == 0.0
-            assert sys.rhs[0] == math.sin(0.7)
-            assert sys.rhs[8] == 0.7 ** 2
+            (sub, diag, sup, _), rhs = assemble(spec, mesh, 0.7, 0.1, u_prev)
+            assert diag[0] == 1.0 and sub[0] == 0.0 and sup[0] == 0.0
+            assert diag[8] == 1.0 and sub[8] == 0.0 and sup[8] == 0.0
+            assert rhs[0] == math.sin(0.7)
+            assert rhs[8] == 0.7 ** 2
 
     def test_printed_coefficient_identity_for_unit_c(self):
         # with c == 1 the stored diagonal contains exactly b + 2/dt
         spec = lookup("example1", 1e-8, 1e-6)
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
         dt = 0.03125
-        sys = assemble(spec, mesh, 0.5, dt, np.zeros(65))
+        bands, _ = assemble(spec, mesh, 0.5, dt, np.zeros(65))
         eps, mu = spec.params.epsilon, spec.params.mu
         t_mid = 0.5 - dt / 2
         for i in (3, 17, 29):
@@ -292,7 +291,7 @@ class TestAssemble:
             a_v = float(spec.a.left(mesh.points[i], t_mid))
             b_v = float(spec.b(mesh.points[i], t_mid))
             expected = (2 * eps / (hi * hi1) - mu * a_v / hi) + (b_v + 2.0 / dt)
-            assert sys.diag[i] == pytest.approx(expected, rel=1e-14)
+            assert bands[1, i] == pytest.approx(expected, rel=1e-14)
 
     def test_zero_data_toy_solves_to_zero(self):
         spec = plain_spec(a_left=lambda x, t: -1.0, a_right=lambda x, t: 1.0,
@@ -301,8 +300,8 @@ class TestAssemble:
                           p=lambda t: 0.0, r=lambda t: 0.0,
                           q=lambda x: 0.0 * x, epsilon=0.1, mu=0.1)
         mesh = nine_point_mesh()
-        sys = assemble(spec, mesh, 0.25, 0.25, np.zeros(9))
-        assert np.array_equal(thomas_solve(sys), np.zeros(9))
+        assert np.array_equal(thomas_solve(*assemble(spec, mesh, 0.25, 0.25, np.zeros(9))),
+                              np.zeros(9))
 
 
 def concatenated_rows(field, mesh, t):
@@ -375,9 +374,7 @@ class TestSampleCoefficients:
 class TestMMatrixCheck:
     def test_identity_passes(self):
         n = 6
-        sys = TridiagonalSystem(sub=np.zeros(n), diag=np.ones(n),
-                                sup=np.zeros(n), rhs=np.zeros(n))
-        report = m_matrix_check(sys)
+        report = m_matrix_check(np.array([np.zeros(n), np.ones(n), np.zeros(n)]))
         assert report.passed
         assert report.violations == ()
 
@@ -385,8 +382,7 @@ class TestMMatrixCheck:
         sub = np.array([0.0, -1.0, 0.5, -1.0, 0.0])
         diag = np.array([1.0, 3.0, 3.0, 3.0, 1.0])
         sup = np.array([0.0, -1.0, -1.0, -1.0, 0.0])
-        report = m_matrix_check(TridiagonalSystem(sub=sub, diag=diag, sup=sup,
-                                                  rhs=np.zeros(5)))
+        report = m_matrix_check(np.array([sub, diag, sup]))
         assert not report.passed
         assert (2, "positive off-diagonal") in report.violations
 
@@ -395,16 +391,14 @@ class TestMMatrixCheck:
         sub = np.array([0.0, 1.0, 1.0, 0.0])
         diag = np.array([-1.0, -3.0, -3.0, -1.0])
         sup = np.array([0.0, 1.0, 1.0, 0.0])
-        report = m_matrix_check(TridiagonalSystem(sub=sub, diag=diag, sup=sup,
-                                                  rhs=np.zeros(4)))
+        report = m_matrix_check(np.array([sub, diag, sup]))
         assert report.passed
 
     def test_dominance_violation_reported(self):
         sub = np.array([0.0, -2.0, -1.0, 0.0])
         diag = np.array([1.0, 3.0, 3.0, 1.0])
         sup = np.array([0.0, -2.0, -1.0, 0.0])
-        report = m_matrix_check(TridiagonalSystem(sub=sub, diag=diag, sup=sup,
-                                                  rhs=np.zeros(4)))
+        report = m_matrix_check(np.array([sub, diag, sup]))
         assert not report.passed
         assert (1, "not diagonally dominant") in report.violations
 
@@ -413,8 +407,8 @@ class TestMMatrixCheck:
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
         rng = np.random.default_rng(11)
         for u_prev in (np.zeros(65), rng.normal(size=65)):
-            sys = assemble(spec, mesh, 0.125, 1.0 / 64, u_prev)
-            report = m_matrix_check(sys)
+            bands, _ = assemble(spec, mesh, 0.125, 1.0 / 64, u_prev)
+            report = m_matrix_check(bands)
             assert report.passed
             assert report.min_margin >= 0.0
             assert report.strict_rows >= 1

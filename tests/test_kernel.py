@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import layersolve
 from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation, NonFiniteValue,
-                        PiecewiseField, ResidualViolation, TridiagonalSystem, ZeroPivot,
+                        PiecewiseField, ResidualViolation, ZeroPivot,
                         assemble, derive_regime, lookup, march, spatial_mesh_for,
                         thomas_solve, uniform_time_grid)
 from layersolve import solver
@@ -31,8 +31,9 @@ SPECIAL = (np.nan, np.inf, -np.inf)
 
 def scaled_system(rng, size, specials=(), zero_row=None):
     """A strictly diagonally dominant system with mixed-sign diagonals, its
-    rows scaled by 10^-150..10^150; ``specials`` puts (band, row, value)
-    entries in, and ``zero_row`` scales one row by 1e-310 so that its pivot
+    rows scaled by 10^-150..10^150, as its (3, size) bands and its right
+    side; ``specials`` puts (band, row, value) entries in (band 3 is the
+    right side), and ``zero_row`` scales one row by 1e-310 so that its pivot
     falls below PIVOT_FLOOR."""
     sub = rng.uniform(-1.0, 1.0, size)
     sup = rng.uniform(-1.0, 1.0, size)
@@ -47,7 +48,7 @@ def scaled_system(rng, size, specials=(), zero_row=None):
         band *= scale
     for band, row, value in specials:
         bands[band][row] = value
-    return TridiagonalSystem(*bands)
+    return np.array(bands[:3]), bands[3]
 
 
 @st.composite
@@ -87,28 +88,28 @@ def run_advance(kernel, w, mu, dt, coefs, is_new, f, ends, start, audit=True):
     return bad, norms, u, bands
 
 
-def advance_outcome(kernel, sys):
+def advance_outcome(kernel, bands, rhs):
     """``kernel.advance`` over one step whose matrix and right side are
-    sys's.  a = b = c = 0 make each built row the row of w, which holds sys's
-    bands as _bands stores them (negated on the PDE rows).  With u[0] = 0 and
-    f = -rhs/2 the step's right side is sys.rhs where the bands are finite,
-    but 0 on the transmission row (n - 1)/2.  Returns the first non-finite
-    step (-1 for none) or the ZeroPivot's (row, step), and the bytes of the
-    norms and u of the steps taken and of the bands."""
-    n = sys.size
+    ``bands`` and ``rhs``.  a = b = c = 0 make each built row the row of w,
+    which holds the bands as _bands stores them (negated on the PDE rows).
+    With u[0] = 0 and f = -rhs/2 the step's right side is rhs where the
+    bands are finite, but 0 on the transmission row (n - 1)/2.  Returns the
+    first non-finite step (-1 for none) or the ZeroPivot's (row, step), and
+    the bytes of the norms and u of the steps taken and of the built bands."""
+    n = len(rhs)
     fixed = [0, (n - 1) // 2, n - 1]
     w = np.ones((4, n))
-    w[:3] = [-sys.sub, -sys.diag, -sys.sup]
-    w[:3, fixed] = [sys.sub[fixed], sys.diag[fixed], sys.sup[fixed]]
-    u, bands, norms = np.zeros((2, n)), np.zeros((1, 4, n)), np.zeros((1, 3))
+    w[:3] = -bands
+    w[:3, fixed] = bands[:, fixed]
+    u, slots, norms = np.zeros((2, n)), np.zeros((1, 4, n)), np.zeros((1, 3))
     try:
         bad = kernel.advance(w, 1.0, 1.0, np.zeros((3, 1, n - 2)), np.ones(1, bool),
-                             -0.5 * sys.rhs[None, 1:-1], sys.rhs[None, [0, -1]], u,
-                             True, bands, norms)
+                             -0.5 * rhs[None, 1:-1], rhs[None, [0, -1]], u,
+                             True, slots, norms)
     except ZeroPivot as exc:
         bad = (exc.row, exc.step)
     taken = int(bad == -1)
-    return bad, norms[:taken].tobytes(), u[:taken + 1].tobytes(), bands.tobytes()
+    return bad, norms[:taken].tobytes(), u[:taken + 1].tobytes(), slots.tobytes()
 
 
 class TestBitwiseEqualKernels:
@@ -116,19 +117,20 @@ class TestBitwiseEqualKernels:
     @given(systems())
     @example(scaled_system(np.random.default_rng(0), 4097))
     @example(scaled_system(np.random.default_rng(1), 4097, zero_row=4096))
-    def test_kernels_agree_bitwise_and_on_zero_pivots(self, sys):
-        """Both kernels' ``advance`` solve sys alike: the same u, norms and
-        bands, or the same ZeroPivot row (step 0) or non-finite step.  A
+    def test_kernels_agree_bitwise_and_on_zero_pivots(self, system):
+        """Both kernels' ``advance`` solve the system alike: the same u, norms
+        and bands, or the same ZeroPivot row (step 0) or non-finite step.  A
         finite solve is thomas_solve's, its ends pinned."""
-        results = {advance_outcome(kernel, sys) for kernel in KERNELS}
+        bands, rhs = system
+        results = {advance_outcome(kernel, bands, rhs) for kernel in KERNELS}
         assert len(results) == 1
         (bad, _, u, _), = results
-        if bad == -1 and np.all(np.isfinite(sys.rhs)):
-            rhs = sys.rhs.copy()
-            rhs[(sys.size - 1) // 2] = 0.0
-            x = thomas_solve(TridiagonalSystem(sys.sub, sys.diag, sys.sup, rhs))
+        if bad == -1 and np.all(np.isfinite(rhs)):
+            rhs = rhs.copy()
+            rhs[(len(rhs) - 1) // 2] = 0.0
+            x = thomas_solve(bands, rhs)
             x[[0, -1]] = rhs[[0, -1]]
-            assert np.frombuffer(u)[-sys.size:].tobytes() == x.tobytes()
+            assert np.frombuffer(u)[-len(rhs):].tobytes() == x.tobytes()
 
     def test_kernel_is_exported(self):
         assert layersolve.KERNEL == solver.KERNEL in ("c", "python")
@@ -285,9 +287,9 @@ def test_samples_constant_in_x_march_as_assembled(monkeypatch, checks):
     grid = uniform_time_grid(1.0, 16)
     expected = np.zeros((17, 257))
     for j in range(16):
-        sys = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, expected[j])
-        expected[j + 1] = thomas_solve(sys)
-        expected[j + 1, [0, -1]] = sys.rhs[[0, -1]]
+        bands, rhs = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, expected[j])
+        expected[j + 1] = thomas_solve(bands, rhs)
+        expected[j + 1, [0, -1]] = rhs[[0, -1]]
     for kernel in KERNELS:
         monkeypatch.setattr(solver, "_KERNEL", kernel)
         assert march(spec, mesh, grid, checks).values.tobytes() == expected.tobytes()

@@ -11,10 +11,10 @@ import pytest
 from layersolve import (CheckPolicy, CheckWarning, DiscreteSolution,
                         MMatrixViolation, NonFiniteValue, PerturbationParams,
                         PiecewiseField, ProblemSpec, StabilityViolation,
-                        TridiagonalSystem, ZeroPivot, assemble, derive_regime,
-                        lookup, march, residual_max_norm, spatial_mesh_for,
-                        stability_audit, thomas_solve, uniform_mesh,
-                        uniform_time_grid)
+                        ZeroPivot, assemble, derive_regime, lookup,
+                        m_matrix_check, march, residual_max_norm,
+                        spatial_mesh_for, stability_audit, thomas_solve,
+                        uniform_mesh, uniform_time_grid)
 from layersolve.discretization import _tridiagonal_apply
 
 
@@ -26,19 +26,20 @@ def random_dominant_system(rng, size):
     diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.5, 2.0, size)
     diag *= rng.choice([-1.0, 1.0], size)
     rhs = rng.uniform(-10.0, 10.0, size)
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    return np.array([sub, diag, sup]), rhs
 
 
-def dense_solve(sys):
-    n = sys.size
+def dense_solve(bands, rhs):
+    sub, diag, sup = bands
+    n = len(rhs)
     a = np.zeros((n, n))
     for i in range(n):
-        a[i, i] = sys.diag[i]
+        a[i, i] = diag[i]
         if i > 0:
-            a[i, i - 1] = sys.sub[i]
+            a[i, i - 1] = sub[i]
         if i < n - 1:
-            a[i, i + 1] = sys.sup[i]
-    return np.linalg.solve(a, sys.rhs)
+            a[i, i + 1] = sup[i]
+    return np.linalg.solve(a, rhs)
 
 
 def zero_data_spec(epsilon=1e-8, mu=1e-6):
@@ -79,10 +80,10 @@ def per_step_stream(spec, mesh, grid):
     values = np.empty((grid.m + 1, n + 1))
     values[0] = np.broadcast_to(np.asarray(spec.q(mesh.points), float), (n + 1,))
     for j in range(grid.m):
-        sys = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, values[j])
-        u = thomas_solve(sys)
-        u[0] = sys.rhs[0]
-        u[n] = sys.rhs[n]
+        bands, rhs = assemble(spec, mesh, float(grid.times[j + 1]), grid.dt, values[j])
+        u = thomas_solve(bands, rhs)
+        u[0] = rhs[0]
+        u[n] = rhs[n]
         values[j + 1] = u
     return values
 
@@ -91,9 +92,8 @@ class TestThomasSolve:
     def test_identity_returns_rhs(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=12)
-        sys = TridiagonalSystem(sub=np.zeros(12), diag=np.ones(12),
-                                sup=np.zeros(12), rhs=v.copy())
-        assert np.array_equal(thomas_solve(sys), v)
+        bands = np.array([np.zeros(12), np.ones(12), np.zeros(12)])
+        assert np.array_equal(thomas_solve(bands, v.copy()), v)
 
     def test_laplacian_recovers_known_solution(self):
         n = 40
@@ -103,41 +103,54 @@ class TestThomasSolve:
         diag = np.full(n, 2.0)
         sub[0] = 0.0
         sup[-1] = 0.0
-        rhs = _tridiagonal_apply(sub, diag, sup, x_true)
-        sys = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
-        np.testing.assert_allclose(thomas_solve(sys), x_true, rtol=1e-12)
+        bands = np.array([sub, diag, sup])
+        rhs = _tridiagonal_apply(bands, x_true)
+        np.testing.assert_allclose(thomas_solve(bands, rhs), x_true, rtol=1e-12)
 
     def test_random_systems_match_dense_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
-            sys = random_dominant_system(rng, int(rng.integers(3, 60)))
-            x = thomas_solve(sys)
-            np.testing.assert_allclose(x, dense_solve(sys), rtol=1e-12,
+            bands, rhs = random_dominant_system(rng, int(rng.integers(3, 60)))
+            x = thomas_solve(bands, rhs)
+            np.testing.assert_allclose(x, dense_solve(bands, rhs), rtol=1e-12,
                                        atol=1e-14)
 
     def test_zero_pivot_reports_row(self):
-        sys = TridiagonalSystem(sub=np.array([0.0, 1.0, 1.0]),
-                                diag=np.array([0.0, 2.0, 2.0]),
-                                sup=np.array([1.0, 1.0, 0.0]),
-                                rhs=np.ones(3))
+        bands = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 2.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ZeroPivot) as err:
-            thomas_solve(sys)
+            thomas_solve(bands, np.ones(3))
         assert err.value.row == 0
 
     def test_rejects_tiny_systems(self):
-        sys = TridiagonalSystem(sub=np.zeros(2), diag=np.ones(2),
-                                sup=np.zeros(2), rhs=np.ones(2))
+        bands = np.array([np.zeros(2), np.ones(2), np.zeros(2)])
         with pytest.raises(ValueError):
-            thomas_solve(sys)
+            thomas_solve(bands, np.ones(2))
+
+    def test_band_array_shapes(self):
+        """A right side that does not have one entry per row of the bands is
+        refused; the M-matrix check reads rows 0-2 and ignores a row 3."""
+        spec = lookup("example1", 1e-8, 1e-6)
+        mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
+        bands, rhs = assemble(spec, mesh, 1.0 / 64, 1.0 / 64, np.zeros(65))
+        assert bands.shape == (4, 65) and rhs.shape == (65,)
+        for wrong in (rhs[:-1], np.append(rhs, 0.0), rhs[None]):
+            for rows in (bands, bands[:3]):
+                with pytest.raises(ValueError):
+                    thomas_solve(rows, wrong)
+        assert thomas_solve(bands, rhs).tobytes() == thomas_solve(bands[:3], rhs).tobytes()
+        broken = bands.copy()
+        broken[0, 5], broken[3] = 1.0, np.nan
+        for matrix in (bands, broken):
+            assert m_matrix_check(matrix) == m_matrix_check(matrix[:3].copy())
+        assert m_matrix_check(bands).passed and not m_matrix_check(broken).passed
 
     def test_residual_within_tolerance_on_assembled_step(self):
         spec = lookup("example1", 1e-8, 1e-6)
-        from layersolve import assemble
         mesh = spatial_mesh_for(derive_regime(spec), spec.params, 64, 0.5)
-        sys = assemble(spec, mesh, 1.0 / 64, 1.0 / 64, np.zeros(65))
-        x = thomas_solve(sys)
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(sys.rhs))))
-        assert residual_max_norm(sys, x) <= tol
+        bands, rhs = assemble(spec, mesh, 1.0 / 64, 1.0 / 64, np.zeros(65))
+        x = thomas_solve(bands, rhs)
+        tol = 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
+        assert residual_max_norm(bands, rhs, x) <= tol
 
 
 class TestMarch:
@@ -191,8 +204,7 @@ class TestMarch:
                 wp += mu * a_v / hi1
                 wc += -mu * a_v / hi1
             sub[i], diag[i], sup[i], rhs[i] = -wm, -wc, -wp, -f_v
-        steady = thomas_solve(TridiagonalSystem(sub=sub, diag=diag, sup=sup,
-                                                rhs=rhs))
+        steady = thomas_solve(np.array([sub, diag, sup]), rhs)
         spec_from_steady = ProblemSpec(
             a=spec.a, f=spec.f, b=spec.b, c=spec.c, p=spec.p, r=spec.r,
             q=lambda xx: np.interp(xx, x, steady), d=spec.d,
