@@ -42,10 +42,10 @@ static inline void take_norms(long n, long i, const double *sub, const double *d
 
 /* Row i of the step matrix's bands (sub, diag, sup and c4dt, n each) into
    band, as discretization._bands builds it from the mesh's weights w (4 rows
-   of n, discretization.stencil_weights) and the samples a, b and c of rows
-   1 to n - 2. */
+   of n, discretization.stencil_weights) and one step's samples of a, b and
+   c on rows 1 to n - 2: sample r of s[v] is s[v][r * col[v]]. */
 static void build_row(long n, long i, const double *w, double mu, double dt,
-                      const double *a, const double *b, const double *c, double *band)
+                      const double *const s[3], const long col[3], double *band)
 {
     if (i == 0 || i == (n - 1) / 2 || i == n - 1) { /* stored in w as it is */
         band[i] = w[i];
@@ -54,8 +54,9 @@ static void build_row(long n, long i, const double *w, double mu, double dt,
         band[3 * n + i] = 0.0;
         return;
     }
-    double cbar = b[i - 1] + 2.0 * c[i - 1] / dt;
-    double conv = mu * a[i - 1] / w[3 * n + i];
+    double a = s[0][(i - 1) * col[0]], b = s[1][(i - 1) * col[1]], c = s[2][(i - 1) * col[2]];
+    double cbar = b + 2.0 * c / dt;
+    double conv = mu * a / w[3 * n + i];
     double w_minus = w[i], w_center = w[n + i] - cbar, w_plus = w[2 * n + i];
     if (i < (n - 1) / 2) {
         w_minus -= conv;
@@ -67,39 +68,93 @@ static void build_row(long n, long i, const double *w, double mu, double dt,
     band[i] = -w_minus;
     band[n + i] = -w_center;
     band[2 * n + i] = -w_plus;
-    band[3 * n + i] = 4.0 * c[i - 1] / dt;
+    band[3 * n + i] = 4.0 * c / dt;
 }
 
-/* Advance u (steps + 1 rows of n) by `steps` steps.  Step k forms
-   discretization.step_rhs into rhs from row k of u, the n - 2 source samples
-   of row k of f and the boundary values ends[2k], ends[2k+1], and solves.
-   At step 0 and at each step k with is_new[k] it builds the step matrix
-   from w, mu, dt and the next row of a, b and cc (n - 2 samples each, one
-   row per built matrix) into the next slot (4 n doubles) of bands, and
-   eliminates as solver._solve_py, writing the multipliers c and the pivots
-   piv: row by row, each row built, its rhs formed and eliminated in one
-   pass.  The other steps sweep on c and piv.  The back sweep takes
-   max|A x - rhs|, max|rhs| and max|x| (zeros without audit) for
-   norms[3k..3k+2] as it goes, and checks that x is finite; x, rows 0 and
-   n - 1 pinned to the boundary values, is stored as row k + 1.  Returns
-   -1, the first step whose x is not finite, or -2 - (k n + row) for the
-   first pivot of magnitude below PIVOT_FLOOR (a NaN pivot is not below it),
-   at row of step k, after building the rest of its matrix. */
-long thomas_advance(long steps, long n, long audit, double mu, double dt,
-                    const double *w, const double *a, const double *b,
-                    const double *cc, const unsigned char *is_new,
-                    const double *f, const double *ends, double *u,
-                    double *bands, double *norms, double *rhs, double *c,
-                    double *piv)
+/* Whether x[r * sx] and y[r * sy] differ in any bit for some r < len: -0.0
+   differs from 0.0, and NaNs are compared by their bits. */
+static int differ(long len, const double *x, long sx, const double *y, long sy)
 {
+    for (long r = 0; r < len; r++) {
+        unsigned long long p, q;
+        memcpy(&p, x + r * sx, sizeof p);
+        memcpy(&q, y + r * sy, sizeof q);
+        if (p != q)
+            return 1;
+    }
+    return 0;
+}
+
+/* Advance u (steps + 1 rows of n) by steps >= 1 steps.  a, b, cc and f hold
+   n - 2 samples a step, of rows 1 to n - 2, read through their strides in
+   bytes, multiples of 8 (a_k over the steps and a_r over the rows for a,
+   and so on).  In st, the same in doubles, sample r of step k of the v-th
+   of them is at [k * st[2v] + r * st[2v + 1]].  A stride may be 0 (a
+   sample that ignores t, or one constant in x) or negative.
+   First is_new[k] gets whether step k's a, b and cc differ in a bit from
+   step k - 1's (differ); a step stride of 0 means that they do not.  Step
+   0 is compared with last (3 rows of n - 2: the a, b and cc of the step
+   before the chunk) when have_last, and is new otherwise.  Unless bands
+   has a slot (4 n doubles; it has `slots`) for step 0 and each later new
+   step, the call returns -2 before any step; else the last step's a, b and
+   cc are copied into last.
+   Step k forms discretization.step_rhs into rhs from row k of u, step k
+   of f and the boundary values ends[2k], ends[2k+1], and solves.  At step
+   0 and at each new step it builds the step matrix from w, mu, dt and the
+   step's a, b and cc into the next slot of bands, and eliminates as
+   solver._solve_py, writing the multipliers c and the pivots piv (rhs, c
+   and piv are n doubles each of scratch): row by row, each row built, its
+   rhs formed and eliminated in one pass.  The other steps sweep on c and
+   piv.  The back sweep takes max|A x - rhs|, max|rhs| and max|x| (zeros
+   without audit) for norms[3k..3k+2] as it goes, and checks that x is
+   finite; x, rows 0 and n - 1 pinned to the boundary values, is stored as
+   row k + 1.  Returns -1, the first step k whose x is not finite (its x,
+   not pinned, is row k + 1), or -3 - (k n + row) for the first pivot of
+   magnitude below PIVOT_FLOOR (a NaN pivot is not below it), at row of
+   step k, after building the rest of its matrix; row k + 1 of u is then
+   unspecified. */
+long thomas_advance(long steps, long n, long audit, long slots, double mu, double dt,
+                    const double *w, const double *a, const double *b,
+                    const double *cc, const double *f, long a_k, long a_r, long b_k,
+                    long b_r, long c_k, long c_r, long f_k, long f_r,
+                    const double *ends, double *u, double *bands, double *norms,
+                    unsigned char *is_new, double *last, long have_last,
+                    double *scratch)
+{
+    double *rhs = scratch, *c = scratch + n, *piv = scratch + 2 * n;
+    const long d = (long)sizeof(double), st[8] = {a_k / d, a_r / d, b_k / d, b_r / d,
+                                                  c_k / d, c_r / d, f_k / d, f_r / d};
+    const double *s[3] = {a, b, cc};
+    const long col[3] = {st[1], st[3], st[5]}; /* the strides over the rows */
+    long builds = 0;
+    for (long k = 0; k < steps; k++) {
+        int fresh = k == 0 && !have_last;
+        for (int v = 0; v < 3 && !fresh; v++) {
+            const double *x = s[v] + k * st[2 * v];
+            if (k == 0)
+                fresh = differ(n - 2, x, col[v], last + v * (n - 2), 1);
+            else if (st[2 * v]) /* else equal; one sample tells when constant in x */
+                fresh = differ(col[v] ? n - 2 : 1, x, col[v], x - st[2 * v], col[v]);
+        }
+        is_new[k] = (unsigned char)fresh;
+        builds += k == 0 || fresh;
+    }
+    if (builds > slots)
+        return -2;
+    for (int v = 0; v < 3; v++)
+        for (long r = 0; r < n - 2; r++)
+            last[v * (n - 2) + r] = s[v][(steps - 1) * st[2 * v] + r * col[v]];
+
     double *sub = bands, *diag = bands + n, *sup = bands + 2 * n, *c4dt = bands + 3 * n;
-    for (long k = 0, at = 0, built = 0; k < steps; k++) {
-        const double *prev = u + k * n, *fk = f + k * (n - 2);
+    const double *step[3] = {a, b, cc};
+    for (long k = 0, built = 0; k < steps; k++) {
+        const double *prev = u + k * n, *fk = f + k * st[6];
         double *x = u + (k + 1) * n;
         double m[3] = {0.0, 0.0, 0.0}, ci = 0.0, xi = 0.0; /* m: the norms */
         int fresh = k == 0 || is_new[k];
         if (fresh) {
-            at = built * (n - 2);
+            for (int v = 0; v < 3; v++)
+                step[v] = s[v] + k * st[2 * v];
             sub = bands + 4 * n * built++;
             diag = sub + n;
             sup = sub + 2 * n;
@@ -107,20 +162,20 @@ long thomas_advance(long steps, long n, long audit, double mu, double dt,
         }
         for (long i = 0; i < n; i++) {
             if (fresh)
-                build_row(n, i, w, mu, dt, a + at, b + at, cc + at, sub);
+                build_row(n, i, w, mu, dt, step, col, sub);
             if (i == 0 || i == n - 1)
                 rhs[i] = ends[2 * k + (i > 0)];
             else if (i == (n - 1) / 2)
                 rhs[i] = 0.0;
             else
                 rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
-                         - 2.0 * fk[i - 1];
+                         - 2.0 * fk[(i - 1) * st[7]];
             if (fresh) {
                 double p = i ? diag[i] - sub[i] * ci : diag[0];
                 if (fabs(p) < PIVOT_FLOOR) {
                     for (long r = i + 1; r < n; r++)
-                        build_row(n, r, w, mu, dt, a + at, b + at, cc + at, sub);
-                    return -2 - (k * n + i);
+                        build_row(n, r, w, mu, dt, step, col, sub);
+                    return -3 - (k * n + i);
                 }
                 piv[i] = p;
                 c[i] = ci = sup[i] / p;

@@ -5,9 +5,10 @@ M-matrix (checked at runtime under the default policy), so elimination is
 stable and pivots cannot vanish.  A cheap residual pass after each solve
 catches conditioning pathologies at extreme eps instead of guessing at a
 remedy.  A march advances each chunk of steps in one kernel ``advance``
-call, which builds every new step matrix from the mesh's stencil weights,
-eliminating each row as it is built, and re-solves on its pivots for the
-steps that repeat it.  That is each kernel's one elimination.
+call, which finds the steps whose a, b and c change bitwise, builds each
+of their matrices from the mesh's stencil weights, eliminating each row as
+it is built, and re-solves on its pivots for the steps that repeat it.
+That is each kernel's one elimination.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
@@ -139,30 +140,47 @@ def _solve_py(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a step made non-finite is returned, not warned
-def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
+def _advance_py(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms, last, have_last):
     """Step k solves for u[k + 1] from u[k], f[k] and ends[k] = (p, r) by
-    :func:`_solve_py`, after building the step matrix from ``w`` and the next
-    row of ``coefs`` = (a, b, c) into the next slot of ``bands`` at k = 0 and
-    where ``is_new[k]``; a repeated matrix has the pivots that C re-uses.  A zero
-    pivot raises ZeroPivot with the step.  norms[k] gets max|A x - rhs|,
-    max|rhs| and max|x| (zeros without ``audit``).  Returns the first step
-    whose x is not finite, or -1."""
-    built = zip(bands, *coefs)
+    :func:`_solve_py`.  First ``is_new[k]`` gets whether step k's a, b and c
+    of ``coefs`` differ bitwise from step k - 1's; step 0 is compared with
+    ``last`` when ``have_last`` and is new otherwise.  ValueError is raised
+    unless ``bands`` has a slot for step 0 and each later new step, else the
+    last step's a, b and c go into ``last``.  At k = 0 and where
+    ``is_new[k]`` step k builds its matrix from w and its a, b and c into the
+    next slot; a repeated matrix has the pivots that C re-uses.  A zero
+    pivot raises ZeroPivot with the step, and leaves u[k + 1] unspecified.
+    norms[k] gets max|A x - rhs|, max|rhs| and max|x| (zeros without
+    ``audit``).  Returns the first step whose x is not finite, that x stored
+    as u[k + 1] without its ends pinned, or -1."""
+    is_new[0] = not have_last or any(bool((x[0].view(np.int64) != y.view(np.int64)).any())
+                                     for x, y in zip(coefs, last))
+    is_new[1:] = False
+    for x in coefs:
+        bits = x.view(np.int64)
+        if bits.strides[0]:  # not broadcast over the steps: element 0, else the row
+            is_new[1:] |= bits[1:, 0] != bits[:-1, 0]
+            tie = np.flatnonzero(~is_new[1:]) + 1
+            is_new[tie] = (bits[tie] != bits[tie - 1]).any(axis=1)
+    if 1 + np.count_nonzero(is_new[1:]) > len(bands):
+        raise ValueError(f"advance needs more matrices than its {len(bands)} band slots")
+    last[:] = [x[-1] for x in coefs]
+    built = iter(bands)
     for k, (p, r) in enumerate(ends.tolist()):
         if k == 0 or is_new[k]:
-            band, *samples = next(built)
-            band[:] = _bands(w, mu, dt, *samples)
+            band = next(built)
+            band[:] = _bands(w, mu, dt, *(x[k] for x in coefs))
         rhs = step_rhs(band, u[k], f[k], p, r)
         try:
             x = _solve_py(band, rhs)
         except ZeroPivot as exc:
             raise ZeroPivot(exc.row, step=k) from None
+        u[k + 1] = x
         if not np.all(np.isfinite(x)):
             return k
         norms[k] = (residual_max_norm(band, rhs, x), np.max(np.abs(rhs)),
                     np.max(np.abs(x))) if audit else 0.0
-        x[0], x[-1] = p, r
-        u[k + 1] = x
+        u[k + 1, 0], u[k + 1, -1] = p, r
     return -1
 
 
@@ -182,11 +200,12 @@ def _format_levels_py(heads, leads, xs):
 
 
 class _Kernel(NamedTuple):
-    """``advance`` (:func:`_advance_py`), raising ZeroPivot, and
-    ``format_levels`` (:func:`_format_levels_py`), which takes the heads and
-    leads of every level and the x pieces once and returns the function of
-    (j0, rows, write) that passes those levels' text to ``write`` in blocks,
-    each a bytes-like object valid only during the call."""
+    """``advance`` (:func:`_advance_py`), raising ZeroPivot, or ValueError
+    for too few band slots, and ``format_levels`` (:func:`_format_levels_py`),
+    which takes the heads and leads of every level and the x pieces once and
+    returns the function of (j0, rows, write) that passes those levels' text
+    to ``write`` in blocks, each a bytes-like object valid only during the
+    call."""
 
     name: str
     advance: Callable
@@ -203,39 +222,49 @@ _BLOCK_BYTES = 256 * 1024  # text per compiled format_levels call, or one level
 _EMPTY = ctypes.c_char * 0
 
 
-def _address(x: np.ndarray):
-    """x's data for a ctypes pointer argument: a view of its buffer when it is
-    writable, 3 times cheaper than ``x.ctypes.data``."""
-    return _EMPTY.from_buffer(x) if x.flags.writeable else x.ctypes.data
+def _address(x: np.ndarray) -> int:
+    """The address of x's data: through a view of its buffer where it is
+    writable, aligned and contiguous, 3 times cheaper than ``x.ctypes.data``."""
+    return ctypes.addressof(_EMPTY.from_buffer(x)) if x.flags.carray else x.ctypes.data
 
 
 def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
     """Wrap ``thomas_advance`` and ``format_levels``."""
     c_advance, c_format = lib.thomas_advance, lib.format_levels
-    c_advance.argtypes = [ctypes.c_long] * 3 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 13
+    c_advance.argtypes = [ctypes.c_long] * 4 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5 \
+        + [ctypes.c_long] * 8 + [ctypes.c_void_p] * 6 + [ctypes.c_long, ctypes.c_void_p]
     c_format.argtypes = [ctypes.c_long] * 2 + [ctypes.c_char_p, ctypes.c_void_p] * 2 \
         + [ctypes.c_void_p] * 3
     c_advance.restype = c_format.restype = ctypes.c_long
 
-    def advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms):
+    def advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms, last, have_last):
         steps, n = len(f), np.shape(w)[-1]
-        # a sample that broadcasts a scalar has stride 0: copy it before C reads it
-        ins = [np.ascontiguousarray(x, dtype=float) for x in (w, *coefs, f, ends)]
-        is_new = np.ascontiguousarray(is_new, dtype=bool)
-        shapes = [x.shape for x in (*ins, is_new, u, bands, norms)]
-        builds = 1 + np.count_nonzero(is_new[1:])
-        if shapes != [(4, n), *[(builds, n - 2)] * 3, (steps, n - 2), (steps, 2), (steps,),
-                      (steps + 1, n), (builds, 4, n), (steps, 3)] or not all(
-                x.dtype == float and x.flags.c_contiguous and x.flags.writeable
-                for x in (u, bands, norms)):
-            raise ValueError(f"advance got shapes {shapes} or a read-only output")
-        scratch = _EMPTY.from_buffer(np.empty(3 * n))  # rhs, c and piv; holds the array
-        at = ctypes.addressof(scratch)
-        bad = c_advance(steps, n, bool(audit), mu, dt,
-                        *map(_address, (*ins[:4], is_new, *ins[4:], u, bands, norms)),
-                        at, at + 8 * n, at + 16 * n)
-        if bad < -1:
-            raise ZeroPivot((-2 - bad) % n, step=(-2 - bad) // n)
+        w, ends = np.ascontiguousarray(w, dtype=float), np.ascontiguousarray(ends, dtype=float)
+        a, b, c = coefs  # samples are read in place, through their strides
+        try:  # outputs are written in place: writable and contiguous
+            outs = [ctypes.addressof(_EMPTY.from_buffer(x))
+                    for x in (u, bands, norms, is_new, last)]
+        except TypeError:
+            outs = None
+        shapes = [x.shape for x in (w, a, b, c, f, ends, is_new, u, bands, norms, last)]
+        if outs is None or steps < 1 or shapes != [
+                (4, n), *[(steps, n - 2)] * 4, (steps, 2), (steps,), (steps + 1, n),
+                (len(bands), 4, n), (steps, 3), (3, n - 2)] \
+                or not a.dtype == b.dtype == c.dtype == f.dtype == u.dtype == bands.dtype \
+                == norms.dtype == last.dtype == float or is_new.dtype != bool \
+                or not (a.flags.aligned and b.flags.aligned and c.flags.aligned
+                        and f.flags.aligned):
+            raise ValueError(f"advance got shapes {shapes} or an output that is read-only "
+                             "or not contiguous")
+        scratch = np.empty(3 * n)  # rhs, c and piv
+        bad = c_advance(steps, n, bool(audit), len(bands), mu, dt, _address(w), _address(a),
+                        _address(b), _address(c), _address(f), *a.strides, *b.strides,
+                        *c.strides, *f.strides, _address(ends), *outs, bool(have_last),
+                        ctypes.addressof(_EMPTY.from_buffer(scratch)))
+        if bad == -2:
+            raise ValueError(f"advance needs more matrices than its {len(bands)} band slots")
+        if bad < -2:
+            raise ZeroPivot((-3 - bad) % n, step=(-3 - bad) // n)
         return bad
 
     def format_levels(heads, leads, xs):
@@ -356,7 +385,8 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     solved.  a, b, c and f are sampled a chunk of steps at a time, and each
     chunk is one kernel ``advance`` call, bitwise equal to building and
     solving every step afresh.  A step whose a, b and c equal the previous
-    step's bitwise reuses its matrix and its M-matrix verdict.  The audits
+    step's bitwise reuses its matrix and its M-matrix verdict; the kernel
+    finds those steps, reading the samples in place.  The audits
     follow the call in step order, each new matrix's M-matrix check before
     its steps' residuals; a zero pivot or a non-finite value raises after
     the audits of the steps before it.  The stability audit runs once, on
@@ -385,9 +415,10 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     values[0] = q0
     weights = stencil_weights(spec, mesh)
     # chunk arrays are kept for the march, as freeing them per chunk costs page
-    # faults; slots grow to the most new matrices a chunk has had
-    sampled = prev = row_scale = None
-    norms, slots = np.empty((chunk, 3)), np.empty((0, 4, n + 1))
+    # faults; ``last`` holds the a, b and c of the step before a chunk
+    sampled = row_scale = None
+    norms, slots, new = np.empty((chunk, 3)), np.empty((0, 4, n + 1)), np.empty(chunk, bool)
+    last = np.empty((3, n - 1))
     for j0 in range(0, grid.m, chunk):
         t_next = grid.times[j0 + 1:j0 + 1 + chunk]
         t_mid = t_next - 0.5 * grid.dt
@@ -396,30 +427,20 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
         except (TypeError, ValueError):  # a callable that takes only a float t
             *coefs, f = map(np.stack, zip(*(sample_coefficients(spec, mesh, t)
                                             for t in t_mid.tolist())))
-        # a new matrix wherever a, b or c differ bitwise from the step before
-        new = np.zeros(len(f), dtype=bool)
-        for i, x in enumerate(coefs):
-            bits = x.view(np.int64)
-            new[0] |= prev is None or bool((bits[0] != prev[i]).any())
-            if bits.strides[0]:  # not broadcast over the steps: element 0, else the row
-                new[1:] |= bits[1:, 0] != bits[:-1, 0]
-                tie = np.flatnonzero(~new[1:]) + 1
-                new[tie] = (bits[tie] != bits[tie - 1]).any(axis=1)
-        prev = [x[-1].view(np.int64).copy() for x in coefs]
         ends = _ends(spec, t_next)
-        # segments: from the chunk's first step and each later new matrix,
-        # whose matrix the kernel builds from its samples into the next slot
-        starts = [0, *(np.flatnonzero(new[1:]) + 1).tolist()]
-        slots = slots if len(slots) >= len(starts) else np.empty((len(starts), 4, n + 1))
+        # a slot per new matrix: one when a, b and c ignore t, else one per step
+        need = len(f) if any(x.strides[0] for x in coefs) else 1
+        slots = slots if len(slots) >= need else np.empty((need, 4, n + 1))
         u = values[j0:j0 + len(f) + 1] if sink is None else values[:len(f) + 1]
         try:
-            bad, pivot = _KERNEL.advance(weights, spec.params.mu, grid.dt,
-                                         coefs if len(starts) == len(f) else
-                                         [x[starts] for x in coefs], new, f,
-                                         ends, u, checks.audit,
-                                         slots[:len(starts)], norms[:len(f)]), None
+            bad, pivot = _KERNEL.advance(weights, spec.params.mu, grid.dt, coefs,
+                                         new[:len(f)], f, ends, u, checks.audit, slots,
+                                         norms[:len(f)], last, j0 > 0), None
         except ZeroPivot as exc:
             bad, pivot = exc.step, exc
+        # segments: from the chunk's first step and each later step the
+        # kernel found new, whose matrix it built into the next slot
+        starts = [0, *(np.flatnonzero(new[1:len(f)]) + 1).tolist()]
         # audits in step order, up to a failed step: each new matrix, then
         # the residuals of the steps that solve it
         for slot, (k, e) in enumerate(zip(starts, starts[1:] + [len(f)])):

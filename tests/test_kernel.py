@@ -1,6 +1,7 @@
 """The compiled Thomas kernel: bitwise equality with the Python loops, and
 the loader that builds it on first import."""
 
+import contextlib
 import ctypes
 import dataclasses
 import math
@@ -63,29 +64,51 @@ def systems(draw):
 
 
 def random_advance(rng, n, steps):
-    """Inputs of ``advance`` before u over n unknowns and ``steps`` steps: a
-    random stencil (diagonally dominant weights, identity rows 0, (n-1)/2 and
-    n-1), mu, dt, positive a, b and c for the two matrices built, f, the
-    boundary values and the flags (a new matrix at step 2)."""
+    """Inputs of ``advance`` that are not outputs, over n unknowns and
+    ``steps`` steps: a random stencil (diagonally dominant weights, identity
+    rows 0, (n-1)/2 and n-1), mu, dt, positive a, b and c of two matrices
+    (the second from step 2 on), f and the boundary values."""
     w = np.zeros((4, n))
     w[0], w[2], w[3] = rng.uniform(0.5, 1.0, (3, n))
     w[1] = -(w[0] + w[2]) - rng.uniform(0.0, 1.0, n)
     w[:3, [0, (n - 1) // 2, n - 1]] = [[0.0], [1.0], [0.0]]
-    return (w, 1e-3, 0.1, rng.uniform(0.5, 2.0, (3, 2, n - 2)),
-            np.arange(steps) == 2, rng.uniform(-5.0, 5.0, (steps, n - 2)),
+    coefs = rng.uniform(0.5, 2.0, (3, 2, n - 2))[:, (np.arange(steps) >= 2).astype(int)]
+    return (w, 1e-3, 0.1, list(coefs), rng.uniform(-5.0, 5.0, (steps, n - 2)),
             rng.uniform(-1.0, 1.0, (steps, 2)))
 
 
-def run_advance(kernel, w, mu, dt, coefs, is_new, f, ends, start, audit=True):
-    """``kernel.advance`` from u[0] = start into zeroed outputs: the first
-    non-finite step (or -1), the norms, u and the bands."""
+def strided_advance(rng, n, steps):
+    """:func:`random_advance`'s inputs with the samples as a march may pass
+    them, and the a, b and c of the step before the chunk: a and f reversed
+    in x (a negative column stride), b one row broadcast over the steps, c
+    one value broadcast over steps and rows, and the step before equal to
+    step 0, so only step 2 has a new matrix."""
+    w, mu, dt, (a, b, _), f, ends = random_advance(rng, n, steps)
+    a, f = (np.ascontiguousarray(x[:, ::-1])[:, ::-1] for x in (a, f))
+    b, c = np.broadcast_to(b[0], b.shape), np.broadcast_to(1.25, b.shape)
+    return (w, mu, dt, [a, b, c], f, ends), np.array([a[0], b[0], c[0]])
+
+
+def run_advance(kernel, w, mu, dt, coefs, f, ends, start, audit=True, last=None):
+    """``kernel.advance`` from u[0] = start into zeroed outputs, a band slot
+    per step, step 0 compared with ``last`` where one is given: the first
+    non-finite step (or -1), the norms, u, the bands, is_new and the kernel's
+    copy of the last step's a, b and c."""
     steps, n = len(f), w.shape[1]
     u = np.zeros((steps + 1, n))
     u[0] = start
-    bands = np.zeros((1 + np.count_nonzero(is_new[1:]), 4, n))
-    norms = np.zeros((steps, 3))
-    bad = kernel.advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms)
-    return bad, norms, u, bands
+    bands, norms, is_new = np.zeros((steps, 4, n)), np.zeros((steps, 3)), np.zeros(steps, bool)
+    kept = np.zeros((3, n - 2)) if last is None else np.array(last)
+    bad = kernel.advance(w, mu, dt, coefs, is_new, f, ends, u, audit, bands, norms, kept,
+                         last is not None)
+    return bad, norms, u, bands, is_new, kept
+
+
+def through_failed_step(u, bad):
+    """The bytes of the levels of u that a run ending with ``bad`` (-1 or
+    the first non-finite step) writes, every NaN made the same NaN."""
+    done = u[:len(u) if bad < 0 else bad + 2]
+    return np.where(np.isnan(done), np.nan, done).tobytes()
 
 
 def advance_outcome(kernel, bands, rhs):
@@ -95,7 +118,9 @@ def advance_outcome(kernel, bands, rhs):
     With u[0] = 0 and f = -rhs/2 the step's right side is rhs where the
     bands are finite, but 0 on the transmission row (n - 1)/2.  Returns the
     first non-finite step (-1 for none) or the ZeroPivot's (row, step), and
-    the bytes of the norms and u of the steps taken and of the built bands."""
+    the bytes of the norms of the step if it is taken, of u through the step
+    unless its pivot vanished (every NaN the same NaN) and of the built
+    bands."""
     n = len(rhs)
     fixed = [0, (n - 1) // 2, n - 1]
     w = np.ones((4, n))
@@ -103,13 +128,13 @@ def advance_outcome(kernel, bands, rhs):
     w[:3, fixed] = bands[:, fixed]
     u, slots, norms = np.zeros((2, n)), np.zeros((1, 4, n)), np.zeros((1, 3))
     try:
-        bad = kernel.advance(w, 1.0, 1.0, np.zeros((3, 1, n - 2)), np.ones(1, bool),
+        bad = kernel.advance(w, 1.0, 1.0, np.zeros((3, 1, n - 2)), np.zeros(1, bool),
                              -0.5 * rhs[None, 1:-1], rhs[None, [0, -1]], u,
-                             True, slots, norms)
+                             True, slots, norms, np.zeros((3, n - 2)), False)
+        levels = through_failed_step(u, bad)
     except ZeroPivot as exc:
-        bad = (exc.row, exc.step)
-    taken = int(bad == -1)
-    return bad, norms[:taken].tobytes(), u[:taken + 1].tobytes(), slots.tobytes()
+        bad, levels = (exc.row, exc.step), u[:1].tobytes()
+    return bad, norms[:int(bad == -1)].tobytes(), levels, slots.tobytes()
 
 
 class TestBitwiseEqualKernels:
@@ -160,7 +185,7 @@ class TestBitwiseEqualKernels:
             runs = [run_advance(kernel, *args, start)
                     for kernel in (contracted, solver._PYTHON_KERNEL)]
             advance_differ += len({(bad, norms.tobytes(), u.tobytes())
-                                   for bad, norms, u, _ in runs}) - 1
+                                   for bad, norms, u, *_ in runs}) - 1
         assert advance_differ == 50
 
     @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
@@ -185,9 +210,10 @@ def example1_chunk(steps, n=64):
                                             (4, False)],
                          ids=["None", "4", "None-off", "4-off"])
 def test_advance_agrees_bitwise(nan_step, audit):
-    """Values, per-step norms (zeros without audit), the built bands and the
-    first non-finite step of one chunk of six steps whose b changes at step
-    3: a build and fused solve, two re-solves, then again."""
+    """Values through the first non-finite step, per-step norms (zeros
+    without audit), the built bands and the new steps of one chunk of six
+    steps whose b changes at step 3: a build and fused solve, two re-solves,
+    then again."""
     spec, mesh, weights, coefs = example1_chunk(6)
     coefs[1][3:] *= 1.5
     rng = np.random.default_rng(3)
@@ -198,18 +224,105 @@ def test_advance_agrees_bitwise(nan_step, audit):
         f[nan_step, 10] = np.nan
     results = set()
     for kernel in KERNELS:
-        bad, norms, u, bands = run_advance(kernel, weights, spec.params.mu, 1.0 / 64,
-                                           [x[[0, 3]] for x in coefs], np.arange(6) == 3, f,
-                                           ends, start, audit)
+        bad, norms, u, bands, is_new, _ = run_advance(kernel, weights, spec.params.mu,
+                                                      1.0 / 64, coefs, f, ends, start, audit)
         done = 6 if bad < 0 else bad  # steps after a non-finite one are not taken
-        results.add((bad, norms[:done].tobytes(), u[:done + 1].tobytes(), bands.tobytes()))
+        results.add((bad, norms[:done].tobytes(), through_failed_step(u, bad),
+                     bands.tobytes(), is_new.tobytes()))
         if not audit:
             assert not norms[:done].any()
     assert [bad for bad, *_ in results] == [-1 if nan_step is None else nan_step]
+    assert is_new.tolist() == [True, False, False, True, False, False]
     for slot, k in enumerate((0, 3)):  # the matrices of _bands
         expected = _bands(stencil_weights(spec, mesh), spec.params.mu, 1.0 / 64,
                           *[x[k] for x in coefs])
         assert bands[slot].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("audit", [True, False], ids=["audit", "off"])
+def test_strided_samples_advance_as_contiguous_copies(audit):
+    """Samples read through negative and zero strides, with step 0 tied to
+    the step before the chunk, give both kernels bitwise the outputs of
+    contiguous copies of the same samples."""
+    rng = np.random.default_rng(11)
+    (w, mu, dt, coefs, f, ends), last = strided_advance(rng, 65, 5)
+    start = rng.uniform(-1.0, 1.0, 65)
+    copies = [np.array(x) for x in coefs]
+    assert [x.strides for x in coefs] == [(8 * 63, -8), (0, 8), (0, 0)]
+    results = {tuple(np.asarray(x).tobytes() for x in run_advance(
+        kernel, w, mu, dt, samples, np.array(f) if samples is copies else f, ends, start,
+        audit, last)) for kernel in KERNELS for samples in (coefs, copies)}
+    assert len(results) == 1
+    (bad, _, _, _, is_new, kept), = results
+    assert np.frombuffer(bad, np.int64).tolist() == [-1]
+    assert np.frombuffer(is_new, bool).tolist() == [False, False, True, False, False]
+    assert kept == np.array([x[-1] for x in coefs]).tobytes()
+
+
+# pairs one bit apart: the signs of zero, two NaN payloads, 1 and its successor
+BIT_PAIRS = np.array([0x0, 1 << 63, 0x7FF8000000000001, 0x7FF8000000000003,
+                      0x3FF0000000000000, 0x3FF0000000000001], np.uint64).view(float)
+SAMPLE_KINDS = ("full", "reversed", "over-steps", "over-rows", "scalar")
+
+
+@st.composite
+def sample_chunks(draw):
+    """Chunks of a, b and c for a march over ``width`` rows, as lists of
+    samples, each of a drawn kind: a full array, one reversed in x (a
+    negative column stride), one row broadcast over the steps, one value
+    per step broadcast over the rows, or one value for the chunk.  Each
+    value of BIT_PAIRS is drawn after the row before it: equal to it, one
+    entry flipped to its pair, or fresh."""
+    width, chunks = draw(st.integers(1, 6)), []
+    before = [None] * 3  # each sample's row before, in full
+    for steps in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
+        chunk = []
+        for v in range(3):
+            kind = draw(st.sampled_from(SAMPLE_KINDS))
+            rows = []
+            for _ in range(1 if kind in ("over-steps", "scalar") else steps):
+                wide = width if kind in ("full", "reversed", "over-steps") else 1
+                row = [draw(st.integers(0, 5)) for _ in range(wide)]
+                how = draw(st.sampled_from(["tie", "flip", "fresh"]))
+                if before[v] is not None and how != "fresh":
+                    row = before[v][:wide]
+                    if how == "flip":
+                        i = draw(st.integers(0, wide - 1))
+                        row = row[:i] + [row[i] ^ 1] + row[i + 1:]
+                before[v] = (row * width)[:width]
+                rows.append(BIT_PAIRS[row])
+            x = np.array(rows)
+            if kind == "reversed":
+                x = np.ascontiguousarray(x[:, ::-1])[:, ::-1]
+            chunk.append(np.broadcast_to(x, (steps, width)) if kind != "full" else x)
+        chunks.append(chunk)
+    return width, chunks
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sample_chunks())
+def test_new_steps_are_the_bitwise_changes(drawn):
+    """Each kernel's is_new, over chunks whose step 0 is compared with the
+    kernel's copy of the chunk before's last step, marks exactly the steps
+    whose a, b and c differ in some bit from the step before (and the
+    march's first step), and that copy is the last step's samples."""
+    width, chunks = drawn
+    n = width + 2
+    w = random_advance(np.random.default_rng(0), n, 1)[0]
+    rows = [[x[k].tobytes() for x in chunk] for chunk in chunks for k in range(len(chunk[0]))]
+    expected = [k == 0 or rows[k] != rows[k - 1] for k in range(len(rows))]
+    for kernel in KERNELS:
+        last, got = np.zeros((3, width)), []
+        for j, chunk in enumerate(chunks):
+            steps = len(chunk[0])
+            is_new = np.zeros(steps, bool)
+            with contextlib.suppress(ZeroPivot):
+                kernel.advance(w, 1e-3, 0.1, chunk, is_new, np.zeros((steps, width)),
+                               np.zeros((steps, 2)), np.zeros((steps + 1, n)), True,
+                               np.zeros((steps, 4, n)), np.zeros((steps, 3)), last, j > 0)
+            got += is_new.tolist()
+            assert last.tobytes() == b"".join(x[-1].tobytes() for x in chunk)
+        assert got == expected
 
 
 @pytest.mark.parametrize("row", [0, 1, 17, 32, 63, 64])
@@ -232,9 +345,9 @@ def test_advance_raises_zero_pivot_at_the_same_row(monkeypatch, row):
     for kernel in KERNELS:
         bands = np.zeros((2, 4, 65))  # the failed step's matrix is built in full
         with pytest.raises(ZeroPivot) as err:
-            kernel.advance(weights, spec.params.mu, 1.0 / 64, [x[[0, 2]] for x in coefs],
-                           np.arange(3) == 2, f, ends, np.zeros((4, 65)), True, bands,
-                           np.zeros((3, 3)))
+            kernel.advance(weights, spec.params.mu, 1.0 / 64, coefs, np.zeros(3, bool), f,
+                           ends, np.zeros((4, 65)), True, bands, np.zeros((3, 3)),
+                           np.zeros((3, 63)), False)
         caught.add((err.value.row, err.value.step, bands.tobytes()))
     assert [(got_row, got_step) for got_row, got_step, _ in caught] == [(row, step)]
     if not step:
@@ -261,18 +374,26 @@ def test_advance_raises_zero_pivot_at_the_same_row(monkeypatch, row):
 @pytest.mark.skipif(solver.KERNEL != "c", reason="the C kernel is not loaded")
 @pytest.mark.parametrize("case", ["short-band", "f-rows", "read-only-u"])
 def test_compiled_advance_checks_shapes_before_the_call(case):
+    """Outputs of the wrong shape or read-only raise ValueError before the
+    call; a chunk with more new matrices than band slots raises it, under
+    either kernel, before any step is taken."""
     n = 9
-    bands, f, u = np.zeros((2, 4, n)), np.zeros((2, n - 2)), np.zeros((3, n))
+    coefs, bands, f, u = np.ones((3, 2, n - 2)), np.zeros((2, 4, n)), np.zeros((2, n - 2)), \
+        np.zeros((3, n))
+    kernels, match = [solver._KERNEL], "advance got shapes"
     if case == "short-band":  # two new matrices need two slots
-        bands = np.zeros((1, 4, n))
+        coefs[1, 1] = 2.0
+        bands, kernels, match = np.zeros((1, 4, n)), KERNELS, "more matrices than its 1 band"
     elif case == "f-rows":
         f = np.zeros((2, n))
     else:
         u.setflags(write=False)
-    with pytest.raises(ValueError, match="advance got shapes"):
-        solver._KERNEL.advance(np.zeros((4, n)), 1.0, 1.0, np.ones((3, 2, n - 2)),
-                               np.ones(2, bool), f, np.zeros((2, 2)), u, True, bands,
-                               np.zeros((2, 3)))
+    for kernel in kernels:
+        with pytest.raises(ValueError, match=match):
+            kernel.advance(np.zeros((4, n)), 1.0, 1.0, coefs, np.zeros(2, bool), f,
+                           np.zeros((2, 2)), u, True, bands, np.zeros((2, 3)),
+                           np.zeros((3, n - 2)), False)
+        assert not u.any() and not bands.any()
 
 
 @pytest.mark.parametrize("checks", [CheckPolicy.off(), CheckPolicy.strict_policy()],
@@ -556,8 +677,11 @@ rng = np.random.default_rng(5)
 args = t.random_advance(rng, 1025, 6)
 start = rng.uniform(-1.0, 1.0, 1025)
 runs = [t.run_advance(k, *args, start) for k in (kernel, solver._PYTHON_KERNEL)]
-assert len({(bad, norms.tobytes(), u.tobytes(), bands.tobytes())
-            for bad, norms, u, bands in runs}) == 1
+strided, last = t.strided_advance(rng, 1025, 6)
+runs += [t.run_advance(k, *strided, start, last=last) for k in (kernel, solver._PYTHON_KERNEL)]
+assert len({tuple(x.tobytes() for x in run[1:]) for run in runs[:2]}) == 1
+assert len({tuple(x.tobytes() for x in run[1:]) for run in runs[2:]}) == 1
+assert [run[0] for run in runs] == [-1] * 4
 """
 
 
@@ -567,8 +691,10 @@ def test_undefined_behaviour_sanitizer(tmp_path):
     -fsanitize=undefined, which aborts on the first undefined operation (a
     shift by the width of its type or more, a signed overflow, an
     out-of-bounds index into a table), for a bug that -O2 output would hide:
-    the TestFormatLevel cases, the compiled-range levels and one ``advance``
-    parity case, in a child process."""
+    the TestFormatLevel cases, the compiled-range levels and two ``advance``
+    parity cases, one with samples read through zero and negative strides
+    and step 0 compared with the step before the chunk, in a child
+    process."""
     lib = tmp_path / "ubsan.so"
     build = subprocess.run(["cc", *solver._CFLAGS, "-fsanitize=undefined",
                             "-fno-sanitize-recover=all", "-o", str(lib), solver._SOURCE],
