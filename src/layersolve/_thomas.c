@@ -5,6 +5,9 @@
    (solver._advance_py and _solve_py, discretization._bands and step_rhs) in
    the same order; built with -ffp-contract=off, so that no a - b*c becomes a
    fused multiply-add, it returns bitwise the same doubles as that code.
+   The audit norms are taken where their products are already formed: the
+   residual A x - rhs of a step whose matrix the next step re-solves reuses
+   the A U of that next step's right side.
    format_levels writes the text solver._format_py writes, byte for byte. */
 #include <math.h>
 #include <string.h>
@@ -102,17 +105,21 @@ static int differ(long len, const double *x, long sx, const double *y, long sy)
    of f and the boundary values ends[2k], ends[2k+1], and solves.  At step
    0 and at each new step it builds the step matrix from w, mu, dt and the
    step's a, b and cc into the next slot of bands, and eliminates as
-   solver._solve_py, writing the multipliers c and the pivots piv (rhs, c
-   and piv are n doubles each of scratch): row by row, each row built, its
-   rhs formed and eliminated in one pass.  The other steps sweep on c and
-   piv.  The back sweep takes max|A x - rhs|, max|rhs| and max|x| (zeros
-   without audit) for norms[3k..3k+2] as it goes, and checks that x is
-   finite; x, rows 0 and n - 1 pinned to the boundary values, is stored as
-   row k + 1.  Returns -1, the first step k whose x is not finite (its x,
-   not pinned, is row k + 1), or -3 - (k n + row) for the first pivot of
-   magnitude below PIVOT_FLOOR (a NaN pivot is not below it), at row of
-   step k, after building the rest of its matrix; row k + 1 of u is then
-   unspecified. */
+   solver._solve_py, writing the multipliers c and the pivots piv (scratch
+   holds 4 n doubles: rhs, c, piv and the right side of the step before):
+   row by row, each row built, its rhs formed and eliminated in one pass.
+   The other steps sweep on c and piv.  norms[3k..3k+2] get max|A x - rhs|,
+   max|rhs| and max|x| of step k (zeros without audit).  The back sweep
+   checks that x is finite and takes the norms as it goes; but when step
+   k + 1 re-solves step k's matrix, it takes them only on rows 0, 1,
+   (n - 1)/2, n - 2 and n - 1, and step k + 1 takes the other rows' as it
+   forms its right side, from the A x it needs (x is row k + 1 of u, equal
+   to the solved x but on the pinned rows 0 and n - 1).  x, rows 0 and
+   n - 1 pinned to the boundary values, is stored as row k + 1.  Returns
+   -1, the first step k whose x is not finite (its x, not pinned, is row
+   k + 1), or -3 - (k n + row) for the first pivot of magnitude below
+   PIVOT_FLOOR (a NaN pivot is not below it), at row of step k, after
+   building the rest of its matrix; row k + 1 of u is then unspecified. */
 long thomas_advance(long steps, long n, long audit, long slots, double mu, double dt,
                     const double *w, const double *a, const double *b,
                     const double *cc, const double *f, long a_k, long a_r, long b_k,
@@ -121,7 +128,7 @@ long thomas_advance(long steps, long n, long audit, long slots, double mu, doubl
                     unsigned char *is_new, double *last, long have_last,
                     double *scratch)
 {
-    double *rhs = scratch, *c = scratch + n, *piv = scratch + 2 * n;
+    double *rhs = scratch, *c = scratch + n, *piv = scratch + 2 * n, *before = scratch + 3 * n;
     const long d = (long)sizeof(double), st[8] = {a_k / d, a_r / d, b_k / d, b_r / d,
                                                   c_k / d, c_r / d, f_k / d, f_r / d};
     const double *s[3] = {a, b, cc};
@@ -147,11 +154,18 @@ long thomas_advance(long steps, long n, long audit, long slots, double mu, doubl
 
     double *sub = bands, *diag = bands + n, *sup = bands + 2 * n, *c4dt = bands + 3 * n;
     const double *step[3] = {a, b, cc};
+    double m[3] = {0.0, 0.0, 0.0}, mp[3]; /* the norms of this step and of the one before */
     for (long k = 0, built = 0; k < steps; k++) {
         const double *prev = u + k * n, *fk = f + k * st[6];
-        double *x = u + (k + 1) * n;
-        double m[3] = {0.0, 0.0, 0.0}, ci = 0.0, xi = 0.0; /* m: the norms */
+        double *x = u + (k + 1) * n, ci = 0.0, xi = 0.0, *t = before;
         int fresh = k == 0 || is_new[k];
+        /* share: step k - 1's norms are finished here; pend: step k's are
+           finished by step k + 1 */
+        int share = audit && !fresh, pend = audit && k + 1 < steps && !is_new[k + 1];
+        before = rhs; /* step k - 1's right side */
+        rhs = t;
+        memcpy(mp, m, sizeof m);
+        m[0] = m[1] = m[2] = 0.0;
         if (fresh) {
             for (int v = 0; v < 3; v++)
                 step[v] = s[v] + k * st[2 * v];
@@ -160,32 +174,54 @@ long thomas_advance(long steps, long n, long audit, long slots, double mu, doubl
             sup = sub + 2 * n;
             c4dt = sub + 3 * n;
         }
-        for (long i = 0; i < n; i++) {
-            if (fresh)
-                build_row(n, i, w, mu, dt, step, col, sub);
-            if (i == 0 || i == n - 1)
-                rhs[i] = ends[2 * k + (i > 0)];
-            else if (i == (n - 1) / 2)
-                rhs[i] = 0.0;
-            else
-                rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
-                         - 2.0 * fk[(i - 1) * st[7]];
-            if (fresh) {
-                double p = i ? diag[i] - sub[i] * ci : diag[0];
-                if (fabs(p) < PIVOT_FLOOR) {
-                    for (long r = i + 1; r < n; r++)
-                        build_row(n, r, w, mu, dt, step, col, sub);
-                    return -3 - (k * n + i);
+        if (share) {
+            /* the right side's A prev is step k - 1's A x on the rows that read
+               neither pinned end (2 to n - 3): one product serves both */
+            for (long i = 0; i < n; i++) {
+                if (i == (n - 1) / 2)
+                    rhs[i] = 0.0;
+                else if (i == 0 || i == n - 1)
+                    rhs[i] = ends[2 * k + (i > 0)];
+                else {
+                    double ax = apply_row(n, i, sub, diag, sup, prev);
+                    rhs[i] = c4dt[i] * prev[i] - ax - 2.0 * fk[(i - 1) * st[7]];
+                    if (i > 1 && i < n - 2) {
+                        mp[0] = max_abs(mp[0], ax - before[i]);
+                        mp[1] = max_abs(mp[1], before[i]);
+                        mp[2] = max_abs(mp[2], prev[i]);
+                    }
                 }
-                piv[i] = p;
-                c[i] = ci = sup[i] / p;
+                x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
             }
-            x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
+            memcpy(norms + 3 * (k - 1), mp, sizeof mp);
+        } else {
+            for (long i = 0; i < n; i++) {
+                if (fresh)
+                    build_row(n, i, w, mu, dt, step, col, sub);
+                if (i == (n - 1) / 2) /* before the ends: row 0 when n = 2, as in step_rhs */
+                    rhs[i] = 0.0;
+                else if (i == 0 || i == n - 1)
+                    rhs[i] = ends[2 * k + (i > 0)];
+                else
+                    rhs[i] = c4dt[i] * prev[i] - apply_row(n, i, sub, diag, sup, prev)
+                             - 2.0 * fk[(i - 1) * st[7]];
+                if (fresh) {
+                    double p = i ? diag[i] - sub[i] * ci : diag[0];
+                    if (fabs(p) < PIVOT_FLOOR) {
+                        for (long r = i + 1; r < n; r++)
+                            build_row(n, r, w, mu, dt, step, col, sub);
+                        return -3 - (k * n + i);
+                    }
+                    piv[i] = p;
+                    c[i] = ci = sup[i] / p;
+                }
+                x[i] = xi = (i ? rhs[i] - sub[i] * xi : rhs[0]) / piv[i];
+            }
         }
         /* the back sweep; once x[i - 1] is known, row i is final, and its
            norms are taken (max_abs does not depend on the order of the rows) */
         int finite = isfinite(xi);
-        if (audit) {
+        if (audit && !pend) {
             for (long i = n - 1; i > 0; i--) {
                 x[i - 1] = xi = x[i - 1] - c[i - 1] * xi;
                 finite &= isfinite(xi);
@@ -200,9 +236,15 @@ long thomas_advance(long steps, long n, long audit, long slots, double mu, doubl
         }
         if (!finite)
             return k;
-        memcpy(norms + 3 * k, m, sizeof m);
-        x[0] = rhs[0];
-        x[n - 1] = rhs[n - 1];
+        if (pend) { /* the rows step k + 1 leaves: A x reads a pinned end, or
+                       its right side has no product */
+            const long rows[5] = {0, 1, (n - 1) / 2, n - 2, n - 1};
+            for (int r = 0; r < 5; r++)
+                take_norms(n, rows[r], sub, diag, sup, x, rhs, m);
+        } else
+            memcpy(norms + 3 * k, m, sizeof m);
+        x[0] = ends[2 * k];
+        x[n - 1] = ends[2 * k + 1];
     }
     return -1;
 }

@@ -2,13 +2,15 @@
 
 Thomas elimination is used without pivoting: every assembled system is an
 M-matrix (checked at runtime under the default policy), so elimination is
-stable and pivots cannot vanish.  A cheap residual pass after each solve
-catches conditioning pathologies at extreme eps instead of guessing at a
-remedy.  A march advances each chunk of steps in one kernel ``advance``
-call, which finds the steps whose a, b and c change bitwise, builds each
-of their matrices from the mesh's stencil weights, eliminating each row as
-it is built, and re-solves on its pivots for the steps that repeat it.
-That is each kernel's one elimination.
+stable and pivots cannot vanish.  A residual check of each solve catches
+conditioning pathologies at extreme eps instead of guessing at a remedy.
+A march advances each chunk of steps in one kernel ``advance`` call, which
+finds the steps whose a, b and c change bitwise, builds each of their
+matrices from the mesh's stencil weights, eliminating each row as it is
+built, and re-solves on its pivots for the steps that repeat it.  That is
+each kernel's one elimination.  The compiled kernel takes the residual
+norms from products it forms anyway: in the back sweep, or, when the next
+step re-solves the same matrix, from the A U of that step's right side.
 
 The kernel runs in C (``_thomas.c``, compiled with the system ``cc`` on first
 import and cached in ``__pycache__``) or, when that cannot be built, in the
@@ -256,7 +258,7 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
                         and f.flags.aligned):
             raise ValueError(f"advance got shapes {shapes} or an output that is read-only "
                              "or not contiguous")
-        scratch = np.empty(3 * n)  # rhs, c and piv
+        scratch = np.empty(4 * n)  # rhs, c, piv and the right side of the step before
         bad = c_advance(steps, n, bool(audit), len(bands), mu, dt, _address(w), _address(a),
                         _address(b), _address(c), _address(f), *a.strides, *b.strides,
                         *c.strides, *f.strides, _address(ends), *outs, bool(have_last),

@@ -259,6 +259,75 @@ def test_strided_samples_advance_as_contiguous_copies(audit):
     assert kept == np.array([x[-1] for x in coefs]).tobytes()
 
 
+def audited_outcomes(kernels, n, steps, new_at, nan, seed):
+    """The outcomes of an audited ``advance`` under each of ``kernels``:
+    :func:`random_advance`'s inputs drawn from ``seed``, with rows 0, (n-1)/2
+    and n-1 of the stencil random dominant rows rather than identity rows, so
+    that the solved x differs from the level stored with its ends pinned, a
+    new matrix at step 0 and at each step of ``new_at``, and f NaN at the
+    (step, column) ``nan`` unless it is None.  The set of (first non-finite
+    step, norms, u through that step, bands, is_new)."""
+    rng = np.random.default_rng(seed)
+    w, mu, dt, _, f, ends = random_advance(rng, n, steps)
+    fixed = [0, (n - 1) // 2, n - 1]
+    w[0, fixed], w[2, fixed] = rng.uniform(-0.5, 0.5, (2, 3))
+    w[1, fixed] = rng.uniform(1.0, 2.0, 3)  # stored as it is: dominant
+    matrix = np.cumsum(np.isin(np.arange(steps), list(new_at)))  # the matrix of each step
+    coefs = list(rng.uniform(0.5, 2.0, (3, steps + 1, n - 2))[:, matrix])
+    if nan is not None:
+        f[nan] = np.nan
+    start = rng.uniform(-1.0, 1.0, n)
+    return {(bad, norms.tobytes(), through_failed_step(u, bad), bands.tobytes(),
+             is_new.tobytes())
+            for bad, norms, u, bands, is_new, _ in (run_advance(kernel, w, mu, dt, coefs, f,
+                                                                ends, start)
+                                                    for kernel in kernels)}
+
+
+# audited_outcomes cases: the smallest system, a one-step chunk, a re-solve
+# followed by a new matrix and a re-solve run that ends the chunk, a
+# non-finite step right after a re-solve run, and one inside a fresh step
+ADVANCE_EDGES = [(2, 3, {2}, None, 0), (9, 1, set(), None, 1), (9, 6, {2}, None, 2),
+                 (9, 5, set(), (3, 2), 3), (9, 5, {3}, (3, 5), 4)]
+
+
+@st.composite
+def audited_chunks(draw):
+    """The arguments of :func:`audited_outcomes` after ``kernels``: 2-8
+    steps over 2-40 rows, new matrices at drawn steps, the last step drawn to
+    re-solve or to build, and a NaN in f at a drawn step or none."""
+    n, steps = draw(st.integers(2, 40)), draw(st.integers(2, 8))
+    new_at = draw(st.sets(st.integers(1, steps - 2))) if steps > 2 else set()
+    if draw(st.booleans()):
+        new_at = new_at | {steps - 1}
+    nan = draw(st.none() | st.tuples(st.integers(0, steps - 1), st.integers(0, n - 3))) \
+        if n > 2 else None
+    return n, steps, new_at, nan, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(audited_chunks())
+@example(ADVANCE_EDGES[0])
+@example(ADVANCE_EDGES[1])
+@example(ADVANCE_EDGES[2])
+@example(ADVANCE_EDGES[3])
+@example(ADVANCE_EDGES[4])
+def test_audited_chunks_agree_bitwise(drawn):
+    """Audited chunks of re-solve runs and new matrices, whose stencils' end
+    rows are not identity rows: both kernels give bitwise the same u through
+    the first non-finite step, norms, bands and is_new, whichever step's
+    product a norm is taken from."""
+    n, steps, new_at, nan, _ = drawn
+    outcomes = audited_outcomes(KERNELS, *drawn)
+    assert len(outcomes) == 1
+    (bad, _, _, _, is_new), = outcomes
+    # with n = 2 there are no samples, so no later step is new
+    assert np.frombuffer(is_new, bool).tolist() == [k == 0 or k in new_at and n > 2
+                                                    for k in range(steps)]
+    if nan is None:
+        assert bad == -1
+
+
 # pairs one bit apart: the signs of zero, two NaN payloads, 1 and its successor
 BIT_PAIRS = np.array([0x0, 1 << 63, 0x7FF8000000000001, 0x7FF8000000000003,
                       0x3FF0000000000000, 0x3FF0000000000001], np.uint64).view(float)
@@ -682,7 +751,32 @@ runs += [t.run_advance(k, *strided, start, last=last) for k in (kernel, solver._
 assert len({tuple(x.tobytes() for x in run[1:]) for run in runs[:2]}) == 1
 assert len({tuple(x.tobytes() for x in run[1:]) for run in runs[2:]}) == 1
 assert [run[0] for run in runs] == [-1] * 4
+t.KERNELS[:] = [kernel, solver._PYTHON_KERNEL]  # the kernels the tests below compare
+for edge in t.ADVANCE_EDGES:
+    assert len(t.audited_outcomes(t.KERNELS, *edge)) == 1
+with pytest.MonkeyPatch.context() as patch:
+    t.test_advance_raises_zero_pivot_at_the_same_row(patch, 17)
+t.test_compiled_advance_checks_shapes_before_the_call("short-band")
 """
+
+
+def run_sanitized(tmp_path, flags, env=None):
+    """SANITIZED_RUN in a child process, with ``env``, against _thomas.c
+    built with ``flags`` added; skips when cc cannot build it or the built
+    library does not load, and asserts a clean exit with nothing on
+    stderr."""
+    lib = tmp_path / "sanitized.so"
+    build = subprocess.run(["cc", *solver._CFLAGS, *flags, "-o", str(lib), solver._SOURCE],
+                           capture_output=True)
+    if build.returncode:
+        pytest.skip(f"cc cannot build with {flags[0]}")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    run = subprocess.run([sys.executable, "-c", SANITIZED_RUN,
+                          os.path.join(os.path.dirname(tests), "src"), tests, str(lib)],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    if run.returncode == 77:
+        pytest.skip("the sanitized library does not load")
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
@@ -691,23 +785,28 @@ def test_undefined_behaviour_sanitizer(tmp_path):
     -fsanitize=undefined, which aborts on the first undefined operation (a
     shift by the width of its type or more, a signed overflow, an
     out-of-bounds index into a table), for a bug that -O2 output would hide:
-    the TestFormatLevel cases, the compiled-range levels and two ``advance``
-    parity cases, one with samples read through zero and negative strides
-    and step 0 compared with the step before the chunk, in a child
-    process."""
-    lib = tmp_path / "ubsan.so"
-    build = subprocess.run(["cc", *solver._CFLAGS, "-fsanitize=undefined",
-                            "-fno-sanitize-recover=all", "-o", str(lib), solver._SOURCE],
-                           capture_output=True)
-    if build.returncode:
-        pytest.skip("cc cannot build with -fsanitize=undefined")
-    tests = os.path.dirname(os.path.abspath(__file__))
-    run = subprocess.run([sys.executable, "-c", SANITIZED_RUN,
-                          os.path.join(os.path.dirname(tests), "src"), tests, str(lib)],
-                         capture_output=True, text=True, cwd=tmp_path)
-    if run.returncode == 77:
-        pytest.skip("the sanitized library does not load")
-    assert (run.returncode, run.stderr) == (0, "")
+    SANITIZED_RUN's TestFormatLevel cases, compiled-range levels and
+    ``advance`` cases, in a child process."""
+    run_sanitized(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
+def test_address_sanitizer(tmp_path):
+    """SANITIZED_RUN under -fsanitize=address, which aborts on a read or
+    write past a heap block, such as a numpy array or the kernel's scratch:
+    among its ``advance`` cases, samples read through zero and negative
+    strides, the copy into ``last``, the smallest system, a one-step chunk,
+    re-solve runs that end the chunk or meet a new matrix, a zero pivot
+    mid-chunk, a non-finite step after a re-solve run and the slot-capacity
+    refusal.  The ASan runtime is preloaded into the child Python, whose
+    objects PYTHONMALLOC=malloc makes heap blocks that ASan sees."""
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("cc has no libasan.so")
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc")
+    run_sanitized(tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"], env)
 
 
 class TestLoader:
