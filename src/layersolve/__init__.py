@@ -7,10 +7,9 @@ interior discontinuity.  See README.md for usage.
 """
 
 from .analysis import (ConvergenceReport, LevelRecord, TemporalOrderReport,
-                       convergence_study, double_mesh_difference,
-                       double_mesh_error, parse_report_csv, render_report_csv,
+                       convergence_study, parse_report_csv, render_report_csv,
                        render_text_table, temporal_order_study)
-from .discretization import assemble, m_matrix_check
+from .discretization import m_matrix_check
 from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      InvalidInput, LayerSolveError, LayersOverlap,
                      ManufacturedMismatch, MeshMismatch, MMatrixViolation,
@@ -24,7 +23,6 @@ from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       RegimeCase, RegimeConstants, ValidationReport,
                       derive_regime, validate)
 from .registry import ManufacturedProblem, lookup, manufactured_sine
-from .solver import (KERNEL, AuditReport, CheckPolicy, DiscreteSolution,
-                     march, residual_max_norm, stability_audit, thomas_solve)
+from .solver import KERNEL, CheckPolicy, DiscreteSolution, march
 
 __version__ = "0.1.0"

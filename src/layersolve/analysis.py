@@ -31,8 +31,6 @@ from .solver import CheckPolicy, DiscreteSolution, march
 __all__ = [
     "LevelRecord",
     "ConvergenceReport",
-    "double_mesh_error",
-    "double_mesh_difference",
     "orders_from_errors",
     "convergence_study",
     "TemporalLevel",
@@ -63,16 +61,15 @@ def _check_nested(coarse: DiscreteSolution, fine: DiscreteSolution) -> None:
         raise MeshMismatch("time horizons differ")
 
 
-def double_mesh_difference(coarse: DiscreteSolution,
-                           fine: DiscreteSolution) -> np.ndarray:
-    """|fine - coarse| at the shared nodes, shaped like the coarse values."""
-    _check_nested(coarse, fine)
-    return np.abs(fine.values[::2, ::2] - coarse.values)
-
-
 def double_mesh_error(coarse: DiscreteSolution, fine: DiscreteSolution) -> float:
-    """Max over shared nodes of the double-mesh difference."""
-    return float(np.max(double_mesh_difference(coarse, fine)))
+    """E of two whole solutions, raising MeshMismatch unless they are nested.
+
+    :func:`convergence_study` folds E as it marches and does not call this.
+    It is not exported: tests import it from here as the study's reference,
+    and ``perfbench/tracing.py`` wraps it here by name.
+    """
+    _check_nested(coarse, fine)
+    return float(np.max(np.abs(fine.values[::2, ::2] - coarse.values)))
 
 
 def orders_from_errors(errors: list[float]) -> list[float | None]:

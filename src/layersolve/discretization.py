@@ -44,7 +44,6 @@ __all__ = [
     "sample_coefficients",
     "stencil_weights",
     "step_rhs",
-    "assemble",
     "m_matrix_check",
 ]
 
@@ -160,6 +159,8 @@ def assemble(spec: ProblemSpec, mesh: SpatialMesh, t_next: float, dt: float,
 
     Row 0 pins U_0 = p(t_next), row N pins U_N = r(t_next), row N/2 is the
     transmission row; every other row is the (negated) interior stencil.
+    ``march`` does not call it, and it is not exported: tests import it from
+    here, and ``perfbench/tracing.py`` wraps it here by name.
     """
     n = mesh.n
     if u_prev.shape != (n + 1,):

@@ -17,7 +17,9 @@ import and cached in ``__pycache__``) or, when that cannot be built, in the
 Python loops below; both give bitwise the same doubles and the same solution
 text.  ``KERNEL`` says which one was loaded: ``"c"`` or ``"python"``.
 :func:`thomas_solve`, for one system of bands and a right side, runs the
-Python kernel's loop :func:`_solve_py` under either.
+Python kernel's loop :func:`_solve_py` under either.  It and
+:func:`residual_max_norm` are not exported: tests import them from here, and
+``perfbench/tracing.py`` wraps them here by name.
 """
 
 from __future__ import annotations
@@ -47,11 +49,7 @@ __all__ = [
     "RESIDUAL_RTOL",
     "CheckPolicy",
     "DiscreteSolution",
-    "thomas_solve",
-    "residual_max_norm",
     "march",
-    "AuditReport",
-    "stability_audit",
 ]
 
 PIVOT_FLOOR = 1e-300
@@ -495,7 +493,8 @@ def _ends(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """A solution against :func:`stability_audit`'s bound; ``margin`` is bound - max_abs."""
+    """max|U| of a march against the a priori bound data_sup + f_sup/beta +
+    STABILITY_SLACK; ``margin`` is bound - max_abs."""
 
     max_abs: float
     data_sup: float
@@ -509,20 +508,9 @@ class AuditReport:
         return self.margin >= 0.0
 
 
-def stability_audit(sol: DiscreteSolution, spec: ProblemSpec) -> AuditReport:
-    """Check max |U| <= data_sup + sup|f|/beta + STABILITY_SLACK on a finished solution.
-
-    max |U| is bitwise ``np.max(np.abs(values))``, NaN included, but copies
-    no values.
-    """
-    return _audit_report(spec, np.abs(_ends(spec, sol.grid.times)).max(0),
-                         _evaluate(spec.q, sol.mesh.points),
-                         abs(max(float(sol.values.max()), -float(sol.values.min()))))
-
-
 def _audit_report(spec: ProblemSpec, ends_max: np.ndarray, q0: np.ndarray,
                   max_abs: float) -> AuditReport:
-    """:func:`stability_audit`'s report from max|p| and max|r| over the times,
+    """The stability report from max|p| and max|r| over the times,
     ``ends_max``, the initial level ``q0`` and max|U|.  The only statement of
     the a priori bound."""
     p_max, r_max = ends_max

@@ -22,22 +22,21 @@ import math
 import numpy as np
 import pytest
 
-from layersolve import (CheckPolicy, assemble, bisect, convergence_study,
-                        derive_regime, double_mesh_difference,
-                        double_mesh_error, lookup,
+from layersolve import (CheckPolicy, bisect, convergence_study,
+                        derive_regime, lookup,
                         m_matrix_check, manufactured_sine, march,
-                        residual_max_norm,
-                        spatial_mesh_for, stability_audit,
-                        temporal_order_study, thomas_solve,
+                        spatial_mesh_for, temporal_order_study,
                         transition_points, build_mesh, uniform_time_grid)
-from layersolve.analysis import orders_from_errors
-from layersolve.discretization import stencil_weights
+from layersolve.analysis import double_mesh_error, orders_from_errors
+from layersolve.discretization import assemble, stencil_weights
 from layersolve.errors import LayersOverlap
 from layersolve.mesh import LayerParams
 from layersolve.problem import ProblemSpec, PiecewiseField, PerturbationParams
+from layersolve.solver import residual_max_norm, thomas_solve
 
 import independent_scheme
 from manufactured import manufactured_linear
+from stability_reference import stability_report
 
 TABLE1 = dict(key="example1", epsilon=1e-8, mu=1e-6,
               e_ref=(0.039036, 0.019471, 0.009595, 0.004722))
@@ -388,7 +387,7 @@ class TestCriterion7StabilityAudit:
         for run in (table1_run, table2_run):
             solutions, _, spec = run
             for sol in solutions:
-                report = stability_audit(sol, spec)
+                report = stability_report(sol, spec)
                 assert report.passed, (
                     f"N={sol.mesh.n}: max {report.max_abs} over bound "
                     f"{report.bound}")
@@ -477,7 +476,7 @@ class TestErrorLocation:
         for run, values, table in runs:
             solutions, _, spec = run
             coarse = solutions[0]
-            diff = double_mesh_difference(coarse, solutions[1])
+            diff = np.abs(solutions[1].values[::2, ::2] - coarse.values)
             peak = np.unravel_index(int(np.argmax(diff)), diff.shape)
             ref_diff = np.abs(values[1][::2, ::2] - values[0])
             ref_peak = np.unravel_index(int(np.argmax(ref_diff)),

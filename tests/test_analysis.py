@@ -9,13 +9,12 @@ from layersolve import (CheckPolicy, ConvergenceReport, LevelRecord,
                         ManufacturedMismatch, MeshMismatch, PerturbationParams,
                         PiecewiseField, ProblemSpec, RegimeCase,
                         RegimeConstants, bisect, convergence_study,
-                        derive_regime, double_mesh_difference,
-                        double_mesh_error, lookup, manufactured_sine, march,
+                        derive_regime, lookup, manufactured_sine, march,
                         parse_report_csv, render_report_csv,
                         render_text_table, spatial_mesh_for,
                         temporal_order_study, uniform_time_grid)
-from layersolve.analysis import (orders_from_errors, render_temporal_csv,
-                                 report_filename)
+from layersolve.analysis import (double_mesh_error, orders_from_errors,
+                                 render_temporal_csv, report_filename)
 from layersolve.solver import DiscreteSolution
 
 from manufactured import manufactured_steady
@@ -44,11 +43,6 @@ class TestDoubleMeshError:
                                      values=injected)
         assert double_mesh_error(coarse, fake_fine) == 0.0
 
-    def test_difference_shape_matches_coarse(self):
-        coarse, fine = small_solution_pair()
-        diff = double_mesh_difference(coarse, fine)
-        assert diff.shape == coarse.values.shape
-
     def test_rebuilt_meshes_are_rejected(self):
         # meshes rebuilt from the closed forms at 2N shift tau and share no
         # interior points, so nesting must be detected as broken
@@ -68,6 +62,18 @@ class TestDoubleMeshError:
                       CheckPolicy())
         with pytest.raises(MeshMismatch):
             double_mesh_error(coarse, wrong)
+
+    def test_unrefined_mesh_rejected(self):
+        coarse, _ = small_solution_pair()
+        with pytest.raises(MeshMismatch, match="N=16, expected 32"):
+            double_mesh_error(coarse, coarse)
+
+    def test_different_time_horizons_rejected(self):
+        coarse, fine = small_solution_pair()
+        longer = DiscreteSolution(mesh=fine.mesh, grid=uniform_time_grid(2.0, 8),
+                                  values=fine.values.copy())
+        with pytest.raises(MeshMismatch, match="time horizons differ"):
+            double_mesh_error(coarse, longer)
 
 
 class TestOrdersFromErrors:
@@ -182,6 +188,20 @@ class TestSerialization:
                        if not line.startswith(f"# {key}="))
         with pytest.raises(ValueError, match=f"'# {key}=' line"):
             parse_report_csv(text)
+
+    def test_unexpected_header_is_refused(self):
+        with pytest.raises(ValueError, match="unexpected header 'N,M,E'"):
+            parse_report_csv("# epsilon=1e-08\nN,M,E\n64,64,0.04\n")
+
+    def test_text_table_needs_reports_on_one_ladder(self):
+        regime = RegimeConstants(rho=1.9, alpha=1.0, case=RegimeCase.CASE_I)
+        report, other = (ConvergenceReport(levels=(LevelRecord(n=n, m=n, e=0.04, r=None),),
+                                           regime=regime, epsilon=1e-8, mu=1e-6)
+                         for n in (64, 128))
+        with pytest.raises(ValueError, match="no reports"):
+            render_text_table([])
+        with pytest.raises(ValueError, match="share the N ladder"):
+            render_text_table([report, other])
 
     def test_csv_layout(self):
         report = convergence_study(quick_spec(), 16, 4, levels=2)

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (LayerParams, PerturbationParams, PiecewiseField,
-                        ProblemSpec, assemble, lookup, m_matrix_check,
-                        spatial_mesh_for, derive_regime, thomas_solve, uniform_mesh)
-from layersolve.discretization import sample_coefficients, stencil_weights
+                        ProblemSpec, lookup, m_matrix_check,
+                        spatial_mesh_for, derive_regime, uniform_mesh)
+from layersolve.discretization import assemble, sample_coefficients, stencil_weights
 from layersolve.mesh import SpatialMesh
 from layersolve.problem import _evaluate
+from layersolve.solver import thomas_solve
 
 # Interior-row fixtures: uniform 9-point mesh (h = 1/8, d = 0.5 at index 4),
 # example-1 coefficients, t_mid = 0.4921875, dt = 1/64, u_prev below.
@@ -293,6 +294,11 @@ class TestAssemble:
             expected = (2 * eps / (hi * hi1) - mu * a_v / hi) + (b_v + 2.0 / dt)
             assert bands[1, i] == pytest.approx(expected, rel=1e-14)
 
+    def test_rejects_u_prev_of_the_wrong_length(self):
+        spec = lookup("example1", 1e-8, 1e-6)
+        with pytest.raises(ValueError, match="u_prev must have 17 entries"):
+            assemble(spec, uniform_mesh(16), 0.5, 0.5, np.zeros(16))
+
     def test_zero_data_toy_solves_to_zero(self):
         spec = plain_spec(a_left=lambda x, t: -1.0, a_right=lambda x, t: 1.0,
                           f_left=lambda x, t: 0.0, f_right=lambda x, t: 0.0,
@@ -401,6 +407,16 @@ class TestMMatrixCheck:
         report = m_matrix_check(np.array([sub, diag, sup]))
         assert not report.passed
         assert (1, "not diagonally dominant") in report.violations
+
+    def test_no_strictly_dominant_row_reported(self):
+        # every row is dominant with equality, boundary rows included
+        sub = np.array([0.0, -1.0, -1.0])
+        diag = np.array([1.0, 2.0, 1.0])
+        sup = np.array([-1.0, -1.0, 0.0])
+        report = m_matrix_check(np.array([sub, diag, sup]))
+        assert not report.passed
+        assert report.violations == ((-1, "no strictly dominant row"),)
+        assert (report.min_margin, report.strict_rows) == (0.0, 0)
 
     def test_assembled_systems_pass(self):
         spec = lookup("example1", 1e-8, 1e-6)

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import layersolve
 from layersolve import (CheckPolicy, CheckWarning, MMatrixViolation, NonFiniteValue,
                         PiecewiseField, ResidualViolation, ZeroPivot,
-                        assemble, derive_regime, lookup, march, spatial_mesh_for,
-                        thomas_solve, uniform_time_grid)
+                        derive_regime, lookup, march, spatial_mesh_for, uniform_time_grid)
 from layersolve import solver
-from layersolve.discretization import _bands, sample_coefficients, stencil_weights
+from layersolve.discretization import _bands, assemble, sample_coefficients, stencil_weights
+from layersolve.solver import thomas_solve
 
 HAVE_CC = shutil.which("cc") is not None
 KERNELS = [solver._PYTHON_KERNEL] + ([solver._KERNEL] if solver.KERNEL == "c" else [])
@@ -720,6 +720,31 @@ class TestCompiledRange:
         assert b"".join(written(solver._KERNEL.format_levels(heads, leads, xs), 0, rows)) \
             == expected
 
+    def test_levels_that_end_at_a_block_boundary(self):
+        """Levels of the most bytes a level may take, eight to a block: the
+        first block's text ends with the eighth level exactly at
+        ``_BLOCK_BYTES``, and the ninth level comes in a block of its own.
+        The last node's piece is empty, so its 32-byte copies of lead and
+        piece run 8 bytes past the block's text."""
+        n = 1024
+        # 24 bytes a node for '%.17g\n' and 8 for the pieces on average
+        xs = [b"%15d," % 0] + [b"%7d," % i for i in range(1, n - 1)] + [b""]
+        pool = (-np.random.default_rng(3).uniform(1e-5, 9e-5, 40 * n)).tolist()
+        values = np.array([v for v in pool if len("%.17g" % v) == 23][:9 * n]).reshape(9, n)
+        blocks = written(solver._KERNEL.format_levels([b""] * 9, [b""] * 9, xs), 0, values)
+        assert [len(block) for block in blocks] == [solver._BLOCK_BYTES, 32 * n]
+        assert b"".join(blocks) == b"".join(x + b"%.17g\n" % v for row in values
+                                            for x, v in zip(xs, row))
+
+    def test_mismatched_texts_and_rows_raise(self):
+        with pytest.raises(ValueError, match="2 heads and 1 leads"):
+            solver._KERNEL.format_levels([b"", b""], [b""], [b"x,"])
+        write_levels = solver._KERNEL.format_levels([b""] * 2, [b""] * 2, [b"x,", b"y,"])
+        for j0, rows in ((0, np.zeros(2)), (0, np.zeros((1, 3))), (1, np.zeros((2, 2))),
+                         (-1, np.zeros((1, 2)))):
+            with pytest.raises(ValueError, match="format_levels got"):
+                written(write_levels, j0, rows)
+
 
 SANITIZED_RUN = """
 import ctypes, sys
@@ -742,6 +767,7 @@ with pytest.MonkeyPatch.context() as patch:
     patch.setattr(solver, "_KERNEL", kernel)
     t.TestCompiledRange().test_ties_and_notation_switches_in_one_level()
     t.TestCompiledRange().test_levels_of_mixed_signs_and_exponents()
+    t.TestCompiledRange().test_levels_that_end_at_a_block_boundary()
 rng = np.random.default_rng(5)
 args = t.random_advance(rng, 1025, 6)
 start = rng.uniform(-1.0, 1.0, 1025)
@@ -785,21 +811,24 @@ def test_undefined_behaviour_sanitizer(tmp_path):
     -fsanitize=undefined, which aborts on the first undefined operation (a
     shift by the width of its type or more, a signed overflow, an
     out-of-bounds index into a table), for a bug that -O2 output would hide:
-    SANITIZED_RUN's TestFormatLevel cases, compiled-range levels and
-    ``advance`` cases, in a child process."""
+    SANITIZED_RUN's TestFormatLevel cases, compiled-range levels (one block
+    of them ending exactly at ``_BLOCK_BYTES``) and ``advance`` cases, in a
+    child process."""
     run_sanitized(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=all"])
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no cc on PATH")
 def test_address_sanitizer(tmp_path):
     """SANITIZED_RUN under -fsanitize=address, which aborts on a read or
-    write past a heap block, such as a numpy array or the kernel's scratch:
-    among its ``advance`` cases, samples read through zero and negative
-    strides, the copy into ``last``, the smallest system, a one-step chunk,
-    re-solve runs that end the chunk or meet a new matrix, a zero pivot
-    mid-chunk, a non-finite step after a re-solve run and the slot-capacity
-    refusal.  The ASan runtime is preloaded into the child Python, whose
-    objects PYTHONMALLOC=malloc makes heap blocks that ASan sees."""
+    write past a heap block, such as a numpy array, the kernel's scratch or
+    the block of text: a block of levels that ends exactly at
+    ``_BLOCK_BYTES``, and among its ``advance`` cases, samples read through
+    zero and negative strides, the copy into ``last``, the smallest system,
+    a one-step chunk, re-solve runs that end the chunk or meet a new matrix,
+    a zero pivot mid-chunk, a non-finite step after a re-solve run and the
+    slot-capacity refusal.  The ASan runtime is preloaded into the child
+    Python, whose objects PYTHONMALLOC=malloc makes heap blocks that ASan
+    sees."""
     runtime = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
     if not os.path.isabs(runtime) or not os.path.exists(runtime):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layersolve import (LayerParams, LayersOverlap, PerturbationParams,
+from layersolve import (LayerParams, LayersOverlap, NonMonotone, PerturbationParams,
                         RegimeCase, RegimeConstants, ThetaVariant,
                         UnsupportedRegime, bisect, build_mesh, layer_params,
                         transition_points, uniform_mesh, uniform_time_grid)
@@ -45,6 +45,11 @@ def graded(theta, n, d=0.5):
 
 
 class TestLayerParams:
+    @pytest.mark.parametrize("theta1,theta2", [(0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_non_positive_rates(self, theta1, theta2):
+        with pytest.raises(ValueError, match="decay rates must be positive"):
+            LayerParams(theta1, theta2)
+
     def test_section4_symmetric_values(self):
         # rho*alpha = 1, eps = 1e-8: sqrt(1)/(2e-4) = 5000
         lay = layer_params(case1_regime(), PerturbationParams(1e-8, 1e-6))
@@ -150,6 +155,20 @@ class TestBuildMesh:
         assert mesh.segment_label(40) == "L3"
         assert mesh.segment_label(56) == "U2"
         assert mesh.segment_label(64) == "L4"
+        with pytest.raises(IndexError):
+            mesh.segment_label(65)
+
+    def test_overlapping_widths_are_not_monotone(self):
+        # tau1 = 0.3 lies right of d - tau2 = 0.2, which transition_points
+        # would refuse as LayersOverlap
+        with pytest.raises(NonMonotone, match="not strictly increasing"):
+            build_mesh(LayerParams(10.0, 10.0), (0.3, 0.3, 0.3, 0.3), 16, 0.5)
+
+    def test_points_must_have_n_plus_one_entries(self):
+        mesh = graded(5000.0, 16)
+        with pytest.raises(ValueError, match="N\\+1 entries"):
+            SpatialMesh(n=16, points=np.linspace(0.0, 1.0, 16), tau=mesh.tau,
+                        layer=mesh.layer)
 
 
 class TestUniformMesh:

@@ -1,5 +1,6 @@
 """Hypothesis validation and regime classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from layersolve import (CompatibilityViolation, FloorViolation,
                         PerturbationParams, PiecewiseField, ProblemSpec,
-                        RegimeCase, SignViolation, derive_regime, lookup,
-                        validate)
+                        RegimeCase, RegimeConstants, SignViolation,
+                        derive_regime, lookup, validate)
 
 # min over the 101x101-per-branch sample grid of (1+e^x)/(1+x(1-x)),
 # frozen from a brute-force double loop (reproduced in test below)
@@ -62,6 +63,27 @@ class TestPerturbationParams:
         PerturbationParams(1.0, 1.0)
 
 
+class TestProblemSpec:
+    @pytest.mark.parametrize("field,value,match", [
+        ("t_final", 0.0, "t_final"), ("t_final", -1.0, "t_final"),
+        ("alpha1", 0.0, "alpha1"), ("alpha2", -1.0, "alpha2"),
+        ("beta", 0.0, "beta"), ("eta", -0.5, "eta"),
+        ("d", 0.25, "discontinuity point"),
+        ("f", PiecewiseField(left=lambda x, t: x, right=lambda x, t: x, d=0.25),
+         "discontinuity point"),
+    ], ids=["t-zero", "t-negative", "alpha1", "alpha2", "beta", "eta", "d", "f-d"])
+    def test_rejects_inadmissible_fields(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(make_spec(), **{field: value})
+
+
+class TestRegimeConstants:
+    @pytest.mark.parametrize("rho,alpha", [(0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_non_positive_constants(self, rho, alpha):
+        with pytest.raises(ValueError, match="rho and alpha must be positive"):
+            RegimeConstants(rho=rho, alpha=alpha, case=RegimeCase.CASE_I)
+
+
 class TestValidate:
     def test_example1_passes_all_checks(self):
         report = validate(lookup("example1", 1e-8, 1e-6))
@@ -75,6 +97,14 @@ class TestValidate:
         spec = make_spec(a_left=lambda x, t: 1.0 + 0.0 * x)
         with pytest.raises(SignViolation):
             validate(spec)
+
+    def test_wrong_sign_on_right_branch(self):
+        spec = make_spec()
+        spec = dataclasses.replace(spec, a=PiecewiseField(
+            left=spec.a.left, right=lambda x, t: 0.5 + 0.0 * x, d=0.5))  # below alpha2 = 1
+        with pytest.raises(SignViolation, match="right branch") as err:
+            validate(spec)
+        assert [c.name for c in err.value.report.checks if not c.passed] == ["a-right-sign"]
 
     def test_floor_violation_reports_worst_point(self):
         spec = make_spec(b=lambda x, t: 0.5 + x)  # dips below beta=2 near x=0

@@ -15,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (CheckPolicy, PerturbationParams, PiecewiseField,
-                        ProblemSpec, RegimeCase, assemble, bisect, convergence_study,
-                        derive_regime, double_mesh_error, m_matrix_check, march,
-                        solver, spatial_mesh_for, stability_audit,
-                        uniform_time_grid, validate)
+                        ProblemSpec, RegimeCase, bisect, convergence_study,
+                        derive_regime, m_matrix_check, march,
+                        solver, spatial_mesh_for, uniform_time_grid, validate)
+from layersolve.analysis import double_mesh_error
+from layersolve.discretization import assemble
+
+from stability_reference import stability_report
 
 N, M = 16, 8
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -82,15 +85,15 @@ def test_strict_march_stays_within_the_stability_bound(shape, data):
     spec = make_spec(shape, data)
     mesh, grid = mesh_and_grid(spec)
     sol = march(spec, mesh, grid, CheckPolicy.strict_policy())
-    assert stability_audit(sol, spec).passed
+    assert stability_report(sol, spec).passed
 
 
 @PROPERTY
 @given(shapes, data_vectors)
 def test_march_audits_the_report_of_its_values(shape, data):
     """march takes max|U| per level from the kernel's norms and max|p|, max|r|
-    from its steps' calls: the report it checks is stability_audit's of the
-    returned values, under both kernels."""
+    from its steps' calls: the report it checks is the reference report of
+    the returned values, under both kernels."""
     spec = make_spec(shape, data)
     mesh, grid = mesh_and_grid(spec)
     for kernel in KERNELS:
@@ -101,7 +104,7 @@ def test_march_audits_the_report_of_its_values(shape, data):
             original = solver._audit_report
             mp.setattr(solver, "_audit_report", lambda *args: seen.append(args) or original(*args))
             sol = march(spec, mesh, grid, CheckPolicy())
-        assert original(*seen[0]) == stability_audit(sol, spec)
+        assert original(*seen[0]) == stability_report(sol, spec)
 
 
 @PROPERTY
