@@ -16,9 +16,9 @@ from .errors import (CheckWarning, CompatibilityViolation, FloorViolation,
                      NonFiniteValue, NonMonotone, ResidualViolation,
                      SignViolation, StabilityViolation, UnknownExample,
                      UnsupportedRegime, ZeroPivot)
-from .mesh import (LayerParams, SpatialMesh, ThetaVariant, TimeGrid, bisect,
-                   build_mesh, layer_params, spatial_mesh_for,
-                   transition_points, uniform_mesh, uniform_time_grid)
+from .mesh import (LayerParams, SpatialMesh, TimeGrid, bisect, build_mesh,
+                   layer_params, spatial_mesh_for, transition_points,
+                   uniform_mesh, uniform_time_grid)
 from .problem import (PerturbationParams, PiecewiseField, ProblemSpec,
                       RegimeCase, RegimeConstants, ValidationReport,
                       derive_regime, validate)

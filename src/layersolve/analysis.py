@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import (InvalidInput, LayersOverlap, ManufacturedMismatch,
                      MeshMismatch)
-from .mesh import (SpatialMesh, ThetaVariant, bisect, spatial_mesh_for,
-                   uniform_mesh, uniform_time_grid)
+from .mesh import SpatialMesh, bisect, spatial_mesh_for, uniform_mesh, uniform_time_grid
 from .problem import (ProblemSpec, RegimeConstants, RegimeCase, derive_regime,
                       validate)
 from .registry import ManufacturedProblem
@@ -102,7 +101,6 @@ class ConvergenceReport:
 
 
 def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
-                      variant: ThetaVariant = ThetaVariant.SECTION4,
                       checks: CheckPolicy = CheckPolicy()) -> ConvergenceReport:
     """Run the nested-refinement study and report E and R per level.
 
@@ -122,7 +120,7 @@ def convergence_study(spec: ProblemSpec, base_n: int, base_m: int, levels: int,
     validate(spec)
     regime = derive_regime(spec)
 
-    mesh = spatial_mesh_for(regime, spec.params, base_n, spec.d, variant)
+    mesh = spatial_mesh_for(regime, spec.params, base_n, spec.d)
     meshes: list[SpatialMesh] = [mesh]
     for _ in range(levels):
         meshes.append(bisect(meshes[-1]))

@@ -36,7 +36,7 @@ from typing import BinaryIO
 
 from . import analysis, registry, solver
 from .errors import InvalidInput, LayerSolveError
-from .mesh import ThetaVariant, spatial_mesh_for, uniform_time_grid
+from .mesh import spatial_mesh_for, uniform_time_grid
 from .problem import derive_regime, validate
 from .solver import CheckPolicy, march
 
@@ -105,15 +105,10 @@ def _mesh_dump(mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_mesh(args: argparse.Namespace, spec):
-    regime = derive_regime(spec)
-    return spatial_mesh_for(regime, spec.params, args.n, spec.d, args.theta_variant)
-
-
 def _run_solve(args: argparse.Namespace) -> None:
     spec = registry.lookup(args.example, args.epsilon, args.mu)
     validate(spec)
-    mesh = _build_mesh(args, spec)
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, args.n, spec.d)
     grid = uniform_time_grid(spec.t_final, args.m if args.m is not None else args.n)
     writer = _plot_data if args.plot_data else _solution_csv
     with _atomic_file(args.out_path) as fh:
@@ -123,7 +118,8 @@ def _run_solve(args: argparse.Namespace) -> None:
 def _run_dump_mesh(args: argparse.Namespace) -> None:
     spec = registry.lookup(args.example, args.epsilon, args.mu)
     validate(spec)
-    _atomic_write(args.out_path, [_mesh_dump(_build_mesh(args, spec)).encode()])
+    mesh = spatial_mesh_for(derive_regime(spec), spec.params, args.n, spec.d)
+    _atomic_write(args.out_path, [_mesh_dump(mesh).encode()])
 
 
 def _run_converge(args: argparse.Namespace) -> None:
@@ -139,8 +135,7 @@ def _run_converge(args: argparse.Namespace) -> None:
                                f"both write {name}")
         seen[name] = mu
     base_m = args.m if args.m is not None else args.n
-    reports = [analysis.convergence_study(spec, args.n, base_m, args.levels,
-                                          variant=args.theta_variant, checks=args.checks)
+    reports = [analysis.convergence_study(spec, args.n, base_m, args.levels, args.checks)
                for spec in specs]
     os.makedirs(args.out_path, exist_ok=True)
     for rep in reports:
@@ -217,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="registry key (example1, example2)")
     problem.add_argument("--epsilon", type=float, default=1e-8,
                          help="diffusion parameter (scientific notation ok)")
-    problem.add_argument("--theta-variant", type=ThetaVariant, default="section4",
-                         metavar="{" + ",".join(v.value for v in ThetaVariant) + "}")
     steps = _Parser(add_help=False)
     steps.add_argument("--M", dest="m", type=int, default=None,
                        help="time steps (defaults to N; for temporal: largest M, "

@@ -14,7 +14,6 @@ inverting the layer envelope exp(-theta*x) linearly, e.g. on [0, tau1]
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from .errors import InvalidInput, LayersOverlap, NonMonotone, UnsupportedRegime
 from .problem import PerturbationParams, RegimeCase, RegimeConstants
 
 __all__ = [
-    "ThetaVariant",
     "LayerParams",
     "SpatialMesh",
     "TimeGrid",
@@ -41,23 +39,6 @@ __all__ = [
 SEGMENT_LABELS = ("L1", "U1", "L2", "L3", "U2", "L4")
 
 
-class ThetaVariant(enum.Enum):
-    """Which layer decay rates drive the transition points.
-
-    SECTION4 (default): theta1 = theta2 = sqrt(rho*alpha)/(2*sqrt(eps)); the
-    symmetric values under which convergence is proved, and the wider (safer)
-    boundary-layer width.
-    SECTION2: theta1 = sqrt(rho*alpha)/sqrt(eps), theta2 as above; the
-    asymmetric decay rates of the a priori layer bounds.
-
-    Both are case-(i) rates: case (ii), sqrt(alpha)*mu > sqrt(rho*eps), is
-    unsupported whatever the variant.
-    """
-
-    SECTION4 = "section4"
-    SECTION2 = "section2"
-
-
 @dataclass(frozen=True)
 class LayerParams:
     """Boundary-layer (theta1) and interior-layer (theta2) decay rates."""
@@ -70,22 +51,16 @@ class LayerParams:
             raise ValueError("layer decay rates must be positive")
 
 
-def layer_params(regime: RegimeConstants, params: PerturbationParams,
-                 variant: ThetaVariant = ThetaVariant.SECTION4) -> LayerParams:
-    """Layer decay rates for the selected variant.
-
-    Raises UnsupportedRegime when the regime is CASE_II, sqrt(alpha)*mu >
-    sqrt(rho*eps): the scheme supports case (i) only, and no variant
-    overrides that.
-    """
+def layer_params(regime: RegimeConstants, params: PerturbationParams) -> LayerParams:
+    """theta1 = theta2 = sqrt(rho*alpha)/(2*sqrt(eps)), the rates under which
+    convergence is proved.  Raises UnsupportedRegime in case (ii),
+    sqrt(alpha)*mu > sqrt(rho*eps): the scheme supports case (i) only."""
     if regime.case is RegimeCase.CASE_II:
         raise UnsupportedRegime(
             "regime is case (ii) (sqrt(alpha)*mu > sqrt(rho*eps)); the scheme "
             "supports case (i) only")
-    base = math.sqrt(regime.rho * regime.alpha) / (2.0 * math.sqrt(params.epsilon))
-    if variant is ThetaVariant.SECTION2:
-        return LayerParams(theta1=2.0 * base, theta2=base)
-    return LayerParams(theta1=base, theta2=base)
+    theta = math.sqrt(regime.rho * regime.alpha) / (2.0 * math.sqrt(params.epsilon))
+    return LayerParams(theta1=theta, theta2=theta)
 
 
 def _check_n(n: int) -> None:
@@ -217,10 +192,9 @@ def uniform_mesh(n: int, d: float = 0.5) -> SpatialMesh:
 
 
 def spatial_mesh_for(regime: RegimeConstants, params: PerturbationParams, n: int,
-                     d: float, variant: ThetaVariant = ThetaVariant.SECTION4
-                     ) -> SpatialMesh:
+                     d: float) -> SpatialMesh:
     """Layer params -> transition points -> mesh, in one call."""
-    layer = layer_params(regime, params, variant)
+    layer = layer_params(regime, params)
     tau = transition_points(layer, n, d)
     return build_mesh(layer, tau, n, d)
 

@@ -69,9 +69,8 @@ class PiecewiseField:
     """Scalar field on [0,1] x [0,T] with a single interior discontinuity.
 
     ``left`` is defined for x in [0, d], ``right`` for x in [d, 1]; both
-    one-sided values at x = d stay retrievable through the branch callables.
-    Branch functions must be pure in (x, t) and accept numpy arrays (scalar
-    returns broadcast fine).
+    one-sided values at x = d stay retrievable through the branch callables,
+    which take arrays as :class:`ProblemSpec` states.
     """
 
     left: SpaceTimeFn
@@ -100,6 +99,10 @@ class PerturbationParams:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one boundary-value problem instance.
+
+    The data callables are pure.  a and f (each branch), b and c take numpy
+    arrays of x and t that broadcast together, and return an array of their
+    shape or a scalar; p and r take a float t; q takes an array of x.
 
     The floors alpha1, alpha2, beta, eta are user-declared and cross-checked
     against samples by :func:`validate`; they are not inferred from samples

@@ -189,12 +189,30 @@ def _format_py(lead: bytes, xs, row) -> bytes:
     return b"".join(lead + x + b"%.17g\n" for x in xs) % tuple(np.asarray(row, float).tolist())
 
 
+def _level_rows(heads, leads, xs):
+    """Both kernels' ``format_levels`` checks: a lead per head, then the
+    function of (j0, rows) that returns rows contiguous, checked to be levels
+    j0, j0 + 1, ... of the heads with a value per x piece; ValueError if not."""
+    if len(leads) != len(heads):
+        raise ValueError(f"format_levels got {len(heads)} heads and {len(leads)} leads")
+
+    def rows_of(j0, rows):
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(xs) or not 0 <= j0 <= len(heads) - len(rows):
+            raise ValueError(f"format_levels got {rows.shape} values from level {j0} "
+                             f"of {len(heads)} levels of {len(xs)} nodes")
+        return rows
+    return rows_of
+
+
 def _format_levels_py(heads, leads, xs):
     """The function of (j0, rows, write) that writes levels j0, j0 + 1, ...:
     for each row, the level's head, then :func:`_format_py` of its lead, xs
     and the row."""
+    rows_of = _level_rows(heads, leads, xs)
+
     def write_levels(j0, rows, write):
-        for head, lead, row in zip(heads[j0:], leads[j0:], rows):
+        for head, lead, row in zip(heads[j0:], leads[j0:], rows_of(j0, rows)):
             write(head + _format_py(lead, xs, row))
     return write_levels
 
@@ -268,9 +286,7 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
         return bad
 
     def format_levels(heads, leads, xs):
-        n = len(xs)
-        if len(leads) != len(heads):
-            raise ValueError(f"format_levels got {len(heads)} heads and {len(leads)} leads")
+        n, rows_of = len(xs), _level_rows(heads, leads, xs)
         texts = [t for pair in zip(heads, leads) for t in pair]
         at = np.cumsum([0, *map(len, texts)], dtype=ctypes.c_long)
         off = np.cumsum([0, *map(len, xs)], dtype=ctypes.c_long)
@@ -285,10 +301,7 @@ def _c_kernel(lib: ctypes.CDLL) -> _Kernel:
         view = memoryview(out)  # written from in place: each block is gone after its write
 
         def write_levels(j0, rows, write):
-            rows = np.ascontiguousarray(rows, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != n or not 0 <= j0 <= len(heads) - len(rows):
-                raise ValueError(f"format_levels got {rows.shape} values from level {j0} "
-                                 f"of {len(heads)} levels of {n} nodes")
+            rows = rows_of(j0, rows)  # checked before every foreign call
             at_ptr, off_ptr, u_ptr, out_ptr, done_ptr = (x.ctypes.data
                                                          for x in (at, off, rows, out, done))
             l0 = 0
@@ -422,11 +435,8 @@ def march(spec: ProblemSpec, mesh: SpatialMesh, grid: TimeGrid,
     for j0 in range(0, grid.m, chunk):
         t_next = grid.times[j0 + 1:j0 + 1 + chunk]
         t_mid = t_next - 0.5 * grid.dt
-        try:  # one call per callable and branch on the (steps x rows) grid
-            *coefs, f = sampled = sample_coefficients(spec, mesh, t_mid[:, None], sampled)
-        except (TypeError, ValueError):  # a callable that takes only a float t
-            *coefs, f = map(np.stack, zip(*(sample_coefficients(spec, mesh, t)
-                                            for t in t_mid.tolist())))
+        # one call per callable and branch on the (steps x rows) grid
+        *coefs, f = sampled = sample_coefficients(spec, mesh, t_mid[:, None], sampled)
         ends = _ends(spec, t_next)
         # a slot per new matrix: one when a, b and c ignore t, else one per step
         need = len(f) if any(x.strides[0] for x in coefs) else 1

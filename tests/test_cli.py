@@ -136,6 +136,7 @@ class TestConfigValidation:
         ["temporal", "--M", "6"],
         ["converge", "--mu-list", ""],
         ["converge", "--mu-list", ","],
+        ["solve", "--theta-variant", "section4"],
     ])
     def test_bad_input_is_one_config_line(self, capsys, tmp_path, argv):
         code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
@@ -166,7 +167,7 @@ class TestConfigValidation:
         assert "\n" not in err.strip()
 
     def test_case_ii_regime_is_one_error_line(self, capsys, tmp_path):
-        # sqrt(alpha)*mu > sqrt(rho*eps): case (ii), which no variant supports
+        # sqrt(alpha)*mu > sqrt(rho*eps): case (ii), which the scheme does not support
         out = tmp_path / "u.csv"
         code, _, err = run_cli(["solve", "--N", "16", "--M", "4", "--epsilon", "1e-8",
                                 "--mu", "1e-2", "--out", str(out)], capsys)
@@ -456,25 +457,6 @@ class TestConverge:
 
 
 class TestVariantsAndPolicies:
-    def test_section2_variant_doubles_theta1(self, capsys, tmp_path):
-        a, b = tmp_path / "s4.txt", tmp_path / "s2.txt"
-        base = ["dump-mesh", "--example", "example1", "--epsilon", "1e-8",
-                "--mu", "1e-6", "--N", "64"]
-        assert run_cli(base + ["--out", str(a)], capsys)[0] == 0
-        assert run_cli(base + ["--theta-variant", "section2",
-                               "--out", str(b)], capsys)[0] == 0
-
-        def thetas(path):
-            head = path.read_text().splitlines()[0].split()
-            vals = dict(tok.split("=") for tok in head[1:])
-            return float(vals["theta1"]), float(vals["theta2"])
-
-        t1_s4, t2_s4 = thetas(a)
-        t1_s2, t2_s2 = thetas(b)
-        assert t1_s4 == t2_s4
-        assert t2_s2 == t2_s4
-        assert t1_s2 == pytest.approx(2.0 * t1_s4, rel=1e-14)
-
     def test_strict_checks_complete_cleanly(self, capsys, tmp_path):
         code, _, _ = run_cli(CONVERGE_ARGS + ["--checks", "strict",
                                               "--out", str(tmp_path)], capsys)

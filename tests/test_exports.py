@@ -15,8 +15,8 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 
 # retired, the stability report's private type, and the four functions that
 # stay defined in their modules for the tracer
-NOT_EXPORTED = ("stability_audit", "double_mesh_difference", "AuditReport", "thomas_solve",
-                "residual_max_norm", "assemble", "double_mesh_error")
+NOT_EXPORTED = ("stability_audit", "double_mesh_difference", "ThetaVariant", "AuditReport",
+                "thomas_solve", "residual_max_norm", "assemble", "double_mesh_error")
 
 
 def traced_functions():

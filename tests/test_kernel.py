@@ -737,13 +737,16 @@ class TestCompiledRange:
                                             for x, v in zip(xs, row))
 
     def test_mismatched_texts_and_rows_raise(self):
-        with pytest.raises(ValueError, match="2 heads and 1 leads"):
-            solver._KERNEL.format_levels([b"", b""], [b""], [b"x,"])
-        write_levels = solver._KERNEL.format_levels([b""] * 2, [b""] * 2, [b"x,", b"y,"])
-        for j0, rows in ((0, np.zeros(2)), (0, np.zeros((1, 3))), (1, np.zeros((2, 2))),
-                         (-1, np.zeros((1, 2)))):
-            with pytest.raises(ValueError, match="format_levels got"):
-                written(write_levels, j0, rows)
+        """Both kernels refuse what does not match: a head without a lead,
+        rows of the wrong shape, and levels outside the heads."""
+        for kernel in KERNELS:
+            with pytest.raises(ValueError, match="2 heads and 1 leads"):
+                kernel.format_levels([b"", b""], [b""], [b"x,"])
+            write_levels = kernel.format_levels([b""] * 2, [b""] * 2, [b"x,", b"y,"])
+            for j0, rows in ((0, np.zeros(2)), (0, np.zeros((1, 3))), (1, np.zeros((2, 2))),
+                             (-1, np.zeros((1, 2)))):
+                with pytest.raises(ValueError, match="format_levels got"):
+                    written(write_levels, j0, rows)
 
 
 SANITIZED_RUN = """

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layersolve import (LayerParams, LayersOverlap, NonMonotone, PerturbationParams,
-                        RegimeCase, RegimeConstants, ThetaVariant,
+                        RegimeCase, RegimeConstants,
                         UnsupportedRegime, bisect, build_mesh, layer_params,
                         transition_points, uniform_mesh, uniform_time_grid)
 from layersolve.mesh import SpatialMesh
@@ -68,18 +68,10 @@ class TestLayerParams:
         assert tau[0] == pytest.approx(0.002404546216106427, rel=1e-13)
         assert tau == (tau[0],) * 4
 
-    def test_section2_asymmetric_values(self):
-        lay = layer_params(case1_regime(), PerturbationParams(1e-8, 1e-6),
-                           ThetaVariant.SECTION2)
-        assert lay.theta1 == pytest.approx(10000.0, rel=1e-15)
-        assert lay.theta2 == pytest.approx(5000.0, rel=1e-15)
-
-    def test_case_two_is_unsupported_for_every_variant(self):
+    def test_case_two_is_unsupported(self):
         regime = RegimeConstants(rho=1.0, alpha=1.0, case=RegimeCase.CASE_II)
-        assert [v.name for v in ThetaVariant] == ["SECTION4", "SECTION2"]
-        for variant in ThetaVariant:
-            with pytest.raises(UnsupportedRegime, match=r"case \(i\) only"):
-                layer_params(regime, PerturbationParams(1e-8, 1e-2), variant)
+        with pytest.raises(UnsupportedRegime, match=r"case \(i\) only"):
+            layer_params(regime, PerturbationParams(1e-8, 1e-2))
 
 
 class TestTransitionPoints:

@@ -324,7 +324,7 @@ class TestMarch:
 
     @pytest.mark.parametrize("make,checks_run", [
         (lambda base: base, 1),
-        (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x)) * (1.0 if t < 0.5 else 1.5)),
+        (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x)) * np.where(t < 0.5, 1.0, 1.5)),
          2),
         (lambda base: with_b(base, lambda x, t: (1.0 + np.exp(x)) * (1.0 + t)), 8),
         # element 0 (x_1) of b is the same at every step: only the full row tells
@@ -363,6 +363,22 @@ class TestMarch:
             sol = march(spec, mesh, grid, CheckPolicy.strict_policy())
             assert len(calls) == checks_run
             assert np.array_equal(sol.values, expected)
+
+    def test_callable_of_a_float_t_raises_before_any_step(self, monkeypatch):
+        """A chunk is sampled in one call per callable on its (steps x rows)
+        grid, so a b that takes only a float t raises its own error there,
+        before the kernel advances a step or the sink gets a level."""
+        import layersolve.solver as solver_mod
+        kernel, calls = solver_mod._KERNEL, []
+        monkeypatch.setattr(solver_mod, "_KERNEL", kernel._replace(
+            advance=lambda *args: calls.append(args) or kernel.advance(*args)))
+        base = lookup("example1", 1e-8, 1e-6)
+        spec = with_b(base, lambda x, t: (1.0 + np.exp(x)) * (1.0 if t < 0.5 else 1.5))
+        mesh = spatial_mesh_for(derive_regime(base), base.params, 32, 0.5)
+        with pytest.raises(ValueError, match="truth value of an array"):
+            march(spec, mesh, uniform_time_grid(1.0, 8), CheckPolicy.off(),
+                  sink=lambda j0, rows: calls.append(j0))
+        assert calls == []
 
     def test_non_finite_initial_data_raises(self):
         spec = zero_data_spec()
